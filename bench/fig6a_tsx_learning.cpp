@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   }
   // This probe has no Engine (raw HtmFacility, host buffer), so there is no
   // guest space to rebase and nothing replayable; the wiring exists for the
-  // uniform strict --addr-mode/--record-* CLI.
+  // uniform strict --record-* CLI.
   const bench::RecordWiring record(flags);
   flags.reject_unknown();
 

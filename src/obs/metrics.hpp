@@ -180,8 +180,6 @@ struct RunMetrics {
   double virtual_seconds = 0.0;
 
   // Interpreter hot-path counters (docs/ARCHITECTURE.md, "Interpreter").
-  std::string dispatch_mode;     ///< Effective dispatch: "threaded"/"switch".
-  u64 fused_instructions = 0;    ///< Superinstruction tails executed.
   double ic_method_hit_rate = 0.0;  ///< Method-IC hits/(hits+misses); 0 if unused.
   double ic_ivar_hit_rate = 0.0;    ///< Ivar-IC hits/(hits+misses); 0 if unused.
 

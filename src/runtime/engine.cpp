@@ -89,8 +89,7 @@ Engine::Engine(EngineConfig config)
                                               machine_.get());
     // Guest addressing: the HTM (and through it the STM) line space keys on
     // process-stable segment:offset addresses instead of host pointers.
-    if (config_.addr_mode == AddrMode::kGuest)
-      htm_->set_guest_space(&gspace_);
+    htm_->set_guest_space(&gspace_);
     if (config_.fault.enabled()) {
       fault_ = std::make_unique<fault::FaultInjector>(config_.fault,
                                                       machine_->num_cpus());
@@ -141,7 +140,7 @@ void Engine::load_program(const std::vector<std::string>& sources) {
   // The heap registers its slabs (control words, arena blocks, spill blocks)
   // as guest segments in construction/growth order — deterministic for a
   // given (program, config, seed), so guest addresses match across runs.
-  if (config_.addr_mode == AddrMode::kGuest) hc.guest_space = &gspace_;
+  hc.guest_space = &gspace_;
   heap_ = std::make_unique<vm::Heap>(hc);
   // Register every compiled global / constant name as a slot.
   for (std::size_t i = 0; i < program_->global_names.size(); ++i)
@@ -173,9 +172,8 @@ void Engine::load_program(const std::vector<std::string>& sources) {
   live_count_ = 1;
   SchedThread& main = threads_.front();
   main.vm = std::make_unique<vm::VmThread>(0, config_.stack_slots);
-  if (config_.addr_mode == AddrMode::kGuest)
-    gspace_.add_segment("stack-t0", main.vm->stack_base(),
-                        u64{main.vm->stack_slots()} * 8);
+  gspace_.add_segment("stack-t0", main.vm->stack_base(),
+                      u64{main.vm->stack_slots()} * 8);
   main.cpu = 0;
   current_tid_ = 0;
 
@@ -399,8 +397,6 @@ RunStats Engine::run() {
     m.insns_retired = stats.insns_retired;
     m.total_cycles = stats.total_cycles;
     m.virtual_seconds = stats.virtual_seconds;
-    m.dispatch_mode = interp_->dispatch_mode_name();
-    m.fused_instructions = stats.interp.fused_instructions;
     const auto hit_rate = [](u64 hits, u64 misses) {
       const u64 total = hits + misses;
       return total == 0 ? 0.0
@@ -963,7 +959,7 @@ void Engine::handle_abort(SchedThread& st, AbortReason reason) {
   // so traces and record streams compare byte-for-byte across processes).
   const u16 src_line = abort_source_line(st);
   u64 gaddr = 0;
-  if (config_.addr_mode == AddrMode::kGuest && htm_ != nullptr) {
+  if (htm_ != nullptr) {
     const LineId line = htm_->last_conflict_line(st.cpu);
     if (line != kInvalidLine && line < sim::GuestSpace::kHostLineTag)
       gaddr = line * config_.profile.htm.line_bytes;
@@ -1292,7 +1288,7 @@ void Engine::execute_span(SchedThread& st, int& fuel, vm::YieldStop stop) {
   } catch (const ParkRequest& pr) {
     // Rewind to re-execute the blocking instruction after waking; its yield
     // point was already consumed on the way in. (Blocking instructions are
-    // sends, never fused heads, so a one-instruction rewind is exact.)
+    // sends, so a one-instruction rewind is exact.)
     GILFREE_CHECK(!st.in_tx && !st.in_stm);
     st.vm->regs().pc -= 1;
     st.skip_yield_once = true;
@@ -1384,14 +1380,13 @@ bool Engine::maybe_shed_request(SchedThread& st) {
 // ---------------------------------------------------------------------------
 
 void Engine::init_fastpath() {
-  if (!config_.vm.host_fast_path) return;  // benchmark baseline: stay virtual
   fast.smt_slowdown = config_.profile.machine.cost.smt_slowdown;
   fast.mem_access_cost = config_.profile.machine.cost.mem_access;
   fast.dispatch_cost = config_.profile.machine.cost.dispatch;
   // Batched clock charging is only sound without an HTM facility: the
   // facility samples the machine clock inside tx_begin/tx_load/tx_store
   // (interrupt model), which would observe a stale clock mid-span.
-  defer_clock_ = (htm_ == nullptr) && config_.vm.batched_charging;
+  defer_clock_ = htm_ == nullptr;
   fastpath_on_ = true;
   sync_fastpath();
 }
@@ -1574,9 +1569,8 @@ vm::Value Engine::spawn_thread(vm::Value proc_val,
   ++live_count_;
   SchedThread& st = threads_.back();
   st.vm = std::make_unique<vm::VmThread>(tid, config_.stack_slots);
-  if (config_.addr_mode == AddrMode::kGuest)
-    gspace_.add_segment("stack-t" + std::to_string(tid), st.vm->stack_base(),
-                        u64{st.vm->stack_slots()} * 8);
+  gspace_.add_segment("stack-t" + std::to_string(tid), st.vm->stack_base(),
+                      u64{st.vm->stack_slots()} * 8);
   st.cpu = chosen_cpu;
 
   // Allocate the Thread object while `proc_val` is still rooted on the

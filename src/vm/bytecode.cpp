@@ -71,7 +71,6 @@ void disasm_iseq(const Program& p, i32 id, std::ostringstream& os) {
     os << " a=" << in.a << " b=" << in.b << " c=" << in.c;
     if (in.ic >= 0) os << " ic=" << in.ic;
     if (in.yp >= 0) os << " yp=" << in.yp;
-    if (in.fuse) os << " fuse";
     os << "\n";
   }
 }

@@ -79,19 +79,6 @@ enum class Op : u8 {
 
 constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kMaxOp);
 
-/// Every opcode, in enum order. The interpreter's computed-goto label table
-/// is generated from this list, so it MUST stay in sync with `enum Op` above
-/// (a static_assert in interp.cpp verifies order and count).
-#define GILFREE_FOR_EACH_OP(X)                                               \
-  X(Nop) X(PutNil) X(PutTrue) X(PutFalse) X(PutSelf) X(PutObject)            \
-  X(PutString) X(NewArray) X(NewHash) X(NewRange) X(Pop) X(Dup)              \
-  X(GetLocal) X(SetLocal) X(GetIvar) X(SetIvar) X(GetCvar) X(SetCvar)        \
-  X(GetGlobal) X(SetGlobal) X(GetConst) X(SetConst) X(Send) X(InvokeBlock)   \
-  X(Leave) X(Jump) X(BranchIf) X(BranchUnless) X(DefineMethod)               \
-  X(DefineClass) X(OptPlus) X(OptMinus) X(OptMult) X(OptDiv) X(OptMod)       \
-  X(OptEq) X(OptNeq) X(OptLt) X(OptLe) X(OptGt) X(OptGe) X(OptUMinus)        \
-  X(OptNot) X(OptAref) X(OptAset) X(OptLtLt) X(OptLength)
-
 std::string_view op_name(Op op);
 
 /// Extra cycle cost of an opcode on top of the dispatch cost; memory-access
@@ -142,12 +129,9 @@ constexpr Cycles op_extra_cost(Op op) {
 
 /// One instruction. Fixed width; `ic` indexes the global inline-cache slab
 /// (kSend/kGetIvar/kSetIvar sites), `yp` is the yield-point id assigned at
-/// compile time (-1 when this instruction can never be a yield point),
-/// `fuse` is 1 when this instruction heads a compiler-annotated
-/// superinstruction pair (the following instruction is its tail).
+/// compile time (-1 when this instruction can never be a yield point).
 struct Insn {
   Op op = Op::kNop;
-  u8 fuse = 0;
   i32 a = 0;
   i32 b = 0;
   i32 c = 0;
@@ -229,20 +213,6 @@ constexpr bool is_extended_yield_op(Op op) {
 /// when it assigns yp ids).
 constexpr bool is_branch_op(Op op) {
   return op == Op::kJump || op == Op::kBranchIf || op == Op::kBranchUnless;
-}
-
-/// Superinstruction fusion (compile-time annotation, executed by the
-/// interpreter when VmOptions::fuse_superinsns is on). The fused family is
-/// the hot arithmetic/indexing quartet paired with adjacent local accesses:
-/// getlocal+opt_X and opt_X+setlocal.
-constexpr bool is_fusable_opt_op(Op op) {
-  return op == Op::kOptPlus || op == Op::kOptMinus || op == Op::kOptMult ||
-         op == Op::kOptAref;
-}
-
-constexpr bool is_fusable_pair(Op head, Op tail) {
-  return (head == Op::kGetLocal && is_fusable_opt_op(tail)) ||
-         (is_fusable_opt_op(head) && tail == Op::kSetLocal);
 }
 
 }  // namespace gilfree::vm

@@ -485,8 +485,7 @@ class Compiler {
     throw CompileError("unknown binary operator " + n.name, n.line);
   }
 
-  /// Assigns inline-cache site ids and yield-point ids program-wide, then
-  /// annotates superinstruction pairs.
+  /// Assigns inline-cache site ids and yield-point ids program-wide.
   void finalize() {
     u32 ic = 0;
     u32 yp = 0;
@@ -508,22 +507,6 @@ class Compiler {
     }
     prog_->num_ic_sites = ic;
     prog_->num_yield_points = yp;
-    annotate_superinsns();
-  }
-
-  /// Marks getlocal+opt_X / opt_X+setlocal pairs for fused execution. The
-  /// annotation runs after yield-point assignment and never changes ic/yp
-  /// ids: a fused pair charges the same cycles and observes the same yield
-  /// points as the unfused sequence (the interpreter declines the fusion at
-  /// run time when the tail is yield-relevant in the current stop mode), so
-  /// §4.2 transaction slicing and the Fig. 3 length table are unaffected.
-  void annotate_superinsns() {
-    for (ISeq& seq : prog_->iseqs) {
-      for (std::size_t pc = 0; pc + 1 < seq.insns.size(); ++pc) {
-        if (is_fusable_pair(seq.insns[pc].op, seq.insns[pc + 1].op))
-          seq.insns[pc].fuse = 1;
-      }
-    }
   }
 
   Program* prog_;

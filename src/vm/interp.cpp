@@ -29,20 +29,10 @@ void BuiltinCtx::need_args(u32 n) const {
                     " for " + std::to_string(n) + ")");
 }
 
-bool Interp::threaded_dispatch_available() {
-#ifdef GILFREE_COMPUTED_GOTO
-  return true;
-#else
-  return false;
-#endif
-}
-
 Interp::Interp(Program* program, Heap* heap, ClassRegistry* classes,
                Host* host, const VmOptions& options)
     : program_(program), heap_(heap), classes_(classes), host_(host),
-      options_(options),
-      threaded_(options.dispatch == DispatchMode::kThreaded &&
-                threaded_dispatch_available()) {
+      options_(options) {
   GILFREE_CHECK(program_ && heap_ && classes_ && host_);
   auto& sym = program_->symbols;
   sym_initialize_ = sym.intern("initialize");
@@ -824,19 +814,6 @@ void Interp::do_opt_aset(VmThread& t, const Insn& in) {
 // --- main dispatch ------------------------------------------------------------
 
 namespace {
-#define GILFREE_OP_ENUM_ENTRY(Name) Op::k##Name,
-constexpr Op kOpOrder[] = {GILFREE_FOR_EACH_OP(GILFREE_OP_ENUM_ENTRY)};
-#undef GILFREE_OP_ENUM_ENTRY
-static_assert(sizeof(kOpOrder) / sizeof(kOpOrder[0]) == kNumOps,
-              "GILFREE_FOR_EACH_OP must list every opcode exactly once");
-static_assert(
-    [] {
-      for (std::size_t i = 0; i < kNumOps; ++i)
-        if (static_cast<std::size_t>(kOpOrder[i]) != i) return false;
-      return true;
-    }(),
-    "GILFREE_FOR_EACH_OP must list opcodes in enum order");
-
 /// True when `in` ends a span under `stop`: the engine must run its
 /// yield-point logic before this instruction executes.
 inline bool yield_relevant(const Insn& in, YieldStop stop) {
@@ -846,81 +823,41 @@ inline bool yield_relevant(const Insn& in, YieldStop stop) {
 }
 }  // namespace
 
-// Dual-mode dispatch: the opcode bodies live in one switch; computed-goto
-// builds additionally attach a label to each case, and threaded mode jumps
-// straight to the body through a label table indexed by opcode (`break`
-// still exits the switch normally either way). The portable switch remains
-// the configure-time fallback, and both modes execute identical code per
-// opcode — only host-level dispatch overhead differs.
-#ifdef GILFREE_COMPUTED_GOTO
-#define GILFREE_OPC(Name) case Op::k##Name: L_##Name:
-#else
-#define GILFREE_OPC(Name) case Op::k##Name:
-#endif
-
 void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
   GILFREE_CHECK(!t.finished());
   ThreadRegs& r = t.regs();
-  const bool fuse = options_.fuse_superinsns;
-#ifdef GILFREE_COMPUTED_GOTO
-#define GILFREE_LABEL_ENTRY(Name) &&L_##Name,
-  static const void* const kLabels[] = {
-      GILFREE_FOR_EACH_OP(GILFREE_LABEL_ENTRY)};
-#undef GILFREE_LABEL_ENTRY
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps);
-  const bool threaded = threaded_;
-#endif
-
-  const Insn* in = nullptr;
-  i32 tail_iseq = -1;
-  u32 tail_pc = 0;
   bool first = true;
   for (;;) {
     const ISeq& seq = program_->iseqs[static_cast<u32>(r.iseq)];
     GILFREE_CHECK_MSG(r.pc < seq.insns.size(),
                       "pc out of range in " << seq.name);
-    in = &seq.insns[r.pc];
+    const Insn* in = &seq.insns[r.pc];
     if (!first && yield_relevant(*in, stop)) return;
     first = false;
 
-    // Superinstruction pair: execute head and tail back to back, skipping
-    // one dispatch-loop round trip. Declined when the tail is
-    // yield-relevant in this stop mode (fusion never moves a yield point)
-    // or when the burst budget cannot cover both instructions.
-    tail_iseq = -1;
-    if (fuse && in->fuse != 0 && fuel >= 2 &&
-        !yield_relevant(seq.insns[r.pc + 1], stop)) {
-      tail_iseq = r.iseq;
-      tail_pc = r.pc + 1;
-    }
-
-  exec_one:
     host_->charge_fast(host_->fast.dispatch_cost + op_extra_cost(in->op));
     ++r.pc;  // Default fallthrough; control-flow ops overwrite.
     ++stats_.insns_retired;
     --fuel;
-#ifdef GILFREE_COMPUTED_GOTO
-    if (threaded) goto* kLabels[static_cast<u8>(in->op)];
-#endif
     switch (in->op) {
-      GILFREE_OPC(Nop)
+      case Op::kNop:
         break;
-      GILFREE_OPC(PutNil)
+      case Op::kPutNil:
         push(t, Value::nil());
         break;
-      GILFREE_OPC(PutTrue)
+      case Op::kPutTrue:
         push(t, Value::true_v());
         break;
-      GILFREE_OPC(PutFalse)
+      case Op::kPutFalse:
         push(t, Value::false_v());
         break;
-      GILFREE_OPC(PutSelf)
+      case Op::kPutSelf:
         push(t, Value::from_bits(load_frame(t, r.fp, kFrSelf)));
         break;
-      GILFREE_OPC(PutObject)
+      case Op::kPutObject:
         push(t, literal_values_.at(static_cast<u32>(in->a)));
         break;
-      GILFREE_OPC(PutString) {
+      case Op::kPutString: {
         // CRuby's putstring duplicates the literal: one allocation per
         // execution.
         const Value lit = literal_values_.at(static_cast<u32>(in->a));
@@ -929,7 +866,7 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         ++stats_.allocations;
         break;
       }
-      GILFREE_OPC(NewArray) {
+      case Op::kNewArray: {
         const auto n = static_cast<u32>(in->a);
         const Value arr = heap_->new_array(*host_, std::max<u32>(4, n));
         ++stats_.allocations;
@@ -941,7 +878,7 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         push(t, arr);
         break;
       }
-      GILFREE_OPC(NewHash) {
+      case Op::kNewHash: {
         const auto n = static_cast<u32>(in->a);  // 2 * pairs
         const Value h = heap_->new_hash(*host_);
         ++stats_.allocations;
@@ -954,58 +891,58 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         push(t, h);
         break;
       }
-      GILFREE_OPC(NewRange) {
+      case Op::kNewRange: {
         const Value hi = pop(t);
         const Value lo = pop(t);
         push(t, heap_->new_range(*host_, lo, hi, in->a != 0));
         ++stats_.allocations;
         break;
       }
-      GILFREE_OPC(Pop)
+      case Op::kPop:
         (void)pop(t);
         break;
-      GILFREE_OPC(Dup) {
+      case Op::kDup: {
         const Value v = stack_at(t, r.sp - 1);
         push(t, v);
         break;
       }
-      GILFREE_OPC(GetLocal) {
+      case Op::kGetLocal: {
         const u64 fp = env_fp_at_level(t, static_cast<u32>(in->b));
         push(t, Value::from_bits(
                     load_frame(t, fp, kFrameHeaderSlots +
                                           static_cast<u32>(in->a))));
         break;
       }
-      GILFREE_OPC(SetLocal) {
+      case Op::kSetLocal: {
         const Value v = pop(t);
         const u64 fp = env_fp_at_level(t, static_cast<u32>(in->b));
         store_frame(t, fp, kFrameHeaderSlots + static_cast<u32>(in->a),
                     v.bits());
         break;
       }
-      GILFREE_OPC(GetIvar)
+      case Op::kGetIvar:
         do_getivar(t, *in);
         break;
-      GILFREE_OPC(SetIvar)
+      case Op::kSetIvar:
         do_setivar(t, *in);
         break;
-      GILFREE_OPC(GetCvar)
+      case Op::kGetCvar:
         do_cvar(t, *in, /*set=*/false);
         break;
-      GILFREE_OPC(SetCvar)
+      case Op::kSetCvar:
         do_cvar(t, *in, /*set=*/true);
         break;
-      GILFREE_OPC(GetGlobal)
+      case Op::kGetGlobal:
         push(t, Value::from_bits(host_->mem_load(
                     heap_->global_var_slot(static_cast<u32>(in->a)), true)));
         break;
-      GILFREE_OPC(SetGlobal) {
+      case Op::kSetGlobal: {
         const Value v = pop(t);
         host_->mem_store(heap_->global_var_slot(static_cast<u32>(in->a)),
                          v.bits(), true);
         break;
       }
-      GILFREE_OPC(GetConst) {
+      case Op::kGetConst: {
         const Value v = Value::from_bits(host_->mem_load(
             heap_->constant_slot(static_cast<u32>(in->a)), true));
         if (v.is_undef())
@@ -1016,54 +953,54 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         push(t, v);
         break;
       }
-      GILFREE_OPC(SetConst) {
+      case Op::kSetConst: {
         const Value v = pop(t);
         host_->mem_store(heap_->constant_slot(static_cast<u32>(in->a)),
                          v.bits(), true);
         break;
       }
-      GILFREE_OPC(Send)
+      case Op::kSend:
         do_send(t, *in);
         break;
-      GILFREE_OPC(InvokeBlock)
+      case Op::kInvokeBlock:
         do_invokeblock(t, *in);
         break;
-      GILFREE_OPC(Leave)
+      case Op::kLeave:
         do_leave(t);
         break;
-      GILFREE_OPC(Jump)
+      case Op::kJump:
         r.pc = static_cast<u32>(in->a);
         break;
-      GILFREE_OPC(BranchIf) {
+      case Op::kBranchIf: {
         const Value v = pop(t);
         if (v.truthy()) r.pc = static_cast<u32>(in->a);
         break;
       }
-      GILFREE_OPC(BranchUnless) {
+      case Op::kBranchUnless: {
         const Value v = pop(t);
         if (!v.truthy()) r.pc = static_cast<u32>(in->a);
         break;
       }
-      GILFREE_OPC(DefineMethod)
+      case Op::kDefineMethod:
         do_define_method(t, *in);
         break;
-      GILFREE_OPC(DefineClass)
+      case Op::kDefineClass:
         do_define_class(t, *in);
         break;
-      GILFREE_OPC(OptPlus)
-      GILFREE_OPC(OptMinus)
-      GILFREE_OPC(OptMult)
-      GILFREE_OPC(OptDiv)
-      GILFREE_OPC(OptMod)
-      GILFREE_OPC(OptEq)
-      GILFREE_OPC(OptNeq)
-      GILFREE_OPC(OptLt)
-      GILFREE_OPC(OptLe)
-      GILFREE_OPC(OptGt)
-      GILFREE_OPC(OptGe)
+      case Op::kOptPlus:
+      case Op::kOptMinus:
+      case Op::kOptMult:
+      case Op::kOptDiv:
+      case Op::kOptMod:
+      case Op::kOptEq:
+      case Op::kOptNeq:
+      case Op::kOptLt:
+      case Op::kOptLe:
+      case Op::kOptGt:
+      case Op::kOptGe:
         do_opt_binary(t, *in);
         break;
-      GILFREE_OPC(OptUMinus) {
+      case Op::kOptUMinus: {
         const Value a = pop(t);
         if (a.is_fixnum()) {
           push(t, Value::fixnum(-a.fixnum_val()));
@@ -1076,18 +1013,18 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         }
         break;
       }
-      GILFREE_OPC(OptNot) {
+      case Op::kOptNot: {
         const Value a = pop(t);
         push(t, Value::boolean(!a.truthy()));
         break;
       }
-      GILFREE_OPC(OptAref)
+      case Op::kOptAref:
         do_opt_aref(t, *in);
         break;
-      GILFREE_OPC(OptAset)
+      case Op::kOptAset:
         do_opt_aset(t, *in);
         break;
-      GILFREE_OPC(OptLtLt) {
+      case Op::kOptLtLt: {
         const Value v = stack_at(t, r.sp - 1);
         const Value recv = stack_at(t, r.sp - 2);
         if (recv.is_object() &&
@@ -1108,7 +1045,7 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
         send_generic(t, sym_ltlt_, 1, -1);
         break;
       }
-      GILFREE_OPC(OptLength) {
+      case Op::kOptLength: {
         const Value recv = stack_at(t, r.sp - 1);
         if (recv.is_object()) {
           RBasic* o = recv.obj();
@@ -1136,22 +1073,9 @@ void Interp::run_span(VmThread& t, int& fuel, YieldStop stop) {
     }
 
     if (t.finished()) return;
-    if (tail_iseq >= 0) {
-      // The head may have grown a frame instead of completing in place (an
-      // opt_ fallback dispatching a bytecode method); fuse only when
-      // control actually reached the annotated tail.
-      if (r.iseq == tail_iseq && r.pc == tail_pc) {
-        ++stats_.fused_instructions;
-        tail_iseq = -1;
-        in = &program_->iseqs[static_cast<u32>(r.iseq)].insns[r.pc];
-        goto exec_one;
-      }
-      tail_iseq = -1;
-    }
     if (fuel <= 0) return;
   }
 }
-#undef GILFREE_OPC
 
 std::pair<const u64*, std::size_t> Interp::root_range(const VmThread& t) {
   return {t.stack_base(), t.regs().sp};

@@ -57,8 +57,8 @@ struct InterpStats {
   u64 ic_ivar_hits = 0;
   u64 ic_ivar_misses = 0;
   u64 allocations = 0;
-  /// Instructions executed as the tail of a fused superinstruction pair
-  /// (host-time accounting only; simulated cycles are mode-invariant).
+  /// Always 0: the interpreter no longer fuses instruction pairs. Kept
+  /// because the host-cost benchmark driver still reads it.
   u64 fused_instructions = 0;
 };
 
@@ -100,15 +100,6 @@ class Interp {
   void step(VmThread& t) {
     int fuel = 1;
     run_span(t, fuel, YieldStop::kNone);
-  }
-
-  /// True when this build can execute computed-goto dispatch.
-  static bool threaded_dispatch_available();
-
-  /// Effective dispatch mode ("threaded" / "switch") after the configure-
-  /// time fallback is applied to options().dispatch.
-  const char* dispatch_mode_name() const {
-    return threaded_ ? "threaded" : "switch";
   }
 
   /// Instruction the thread will execute next.
@@ -176,7 +167,6 @@ class Interp {
   ClassRegistry* classes_;
   Host* host_;
   VmOptions options_;
-  bool threaded_ = false;  ///< Effective dispatch after build fallback.
   u64* ic_base_ = nullptr;
 
   std::vector<Value> literal_values_;

@@ -1,5 +1,4 @@
-// Differential test suite for open-loop httpsim at scale (the cube pattern
-// of test_interp_modes, applied to the server simulation): over machine
+// Differential test suite for open-loop httpsim at scale: over machine
 // profiles {zEC12, Xeon E3} × engines {GIL, HTM-dynamic} × shard counts
 // {1, 2, 4} × arrival processes {poisson, mmpp, closed},
 //

@@ -154,7 +154,6 @@ TEST(RecordReplay, ConflictLinesResolveToHeapLabelsInGuestMode) {
   const workloads::Workload& w = workloads::npb("BT");
   runtime::EngineConfig cfg =
       runtime::EngineConfig::htm_fixed(htm::SystemProfile::zec12(), 16);
-  ASSERT_EQ(cfg.addr_mode, runtime::AddrMode::kGuest);  // the default
 
   runtime::Engine engine(std::move(cfg));
   engine.load_program(workloads::sources_for(w, 4, 1));
@@ -192,23 +191,6 @@ TEST(RecordReplayCli, RecordFlagsParseValidValues) {
   EXPECT_EQ(rc.path, "/tmp/r.rec");
   EXPECT_EQ(rc.limit, 123u);
   EXPECT_NO_THROW(flags.reject_unknown());
-}
-
-TEST(RecordReplayCli, AddrModeRejectsUnknownModes) {
-  const auto parse = [](const CliFlags& f) {
-    runtime::EngineConfig cfg;
-    runtime::apply_addr_flags(f, cfg);
-  };
-  testutil::expect_rejected("--addr-mode=virtual", parse);
-  testutil::expect_rejected("--addr-mode=", parse);
-}
-
-TEST(RecordReplayCli, AddrModeParsesGuestAndHost) {
-  runtime::EngineConfig cfg;
-  runtime::apply_addr_flags(testutil::make_flags({"--addr-mode=host"}), cfg);
-  EXPECT_EQ(cfg.addr_mode, runtime::AddrMode::kHost);
-  runtime::apply_addr_flags(testutil::make_flags({"--addr-mode=guest"}), cfg);
-  EXPECT_EQ(cfg.addr_mode, runtime::AddrMode::kGuest);
 }
 
 TEST(RecordReplayCli, FaultAndStmFlagsRoundTripThroughToFlags) {

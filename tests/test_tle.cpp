@@ -356,6 +356,11 @@ struct AtomicityParam {
   unsigned threads;
 };
 
+// Print the case by name. Without this gtest prints the raw object bytes (a
+// string pointer and padding), which differ on every run and so make the
+// listed test names unstable.
+void PrintTo(const AtomicityParam& p, std::ostream* os) { *os << p.name; }
+
 class Atomicity : public ::testing::TestWithParam<AtomicityParam> {};
 
 TEST_P(Atomicity, MutexCounterIsExact) {
@@ -392,19 +397,13 @@ __record("c", $c)
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, Atomicity,
-    ::testing::Values(AtomicityParam{"gil-z-4", 0, false, 4},
-                      AtomicityParam{"htm1-z-4", 1, false, 4},
-                      AtomicityParam{"htm16-z-8", 16, false, 8},
-                      AtomicityParam{"htm256-z-4", 256, false, 4},
-                      AtomicityParam{"dyn-z-12", -1, false, 12},
-                      AtomicityParam{"htm16-x-8", 16, true, 8},
-                      AtomicityParam{"dyn-x-8", -1, true, 8}),
-    [](const auto& info) {
-      std::string n = info.param.name;
-      for (char& ch : n)
-        if (ch == '-') ch = '_';
-      return n;
-    });
+    ::testing::Values(AtomicityParam{"gil_z_4", 0, false, 4},
+                      AtomicityParam{"htm1_z_4", 1, false, 4},
+                      AtomicityParam{"htm16_z_8", 16, false, 8},
+                      AtomicityParam{"htm256_z_4", 256, false, 4},
+                      AtomicityParam{"dyn_z_12", -1, false, 12},
+                      AtomicityParam{"htm16_x_8", 16, true, 8},
+                      AtomicityParam{"dyn_x_8", -1, true, 8}));
 
 }  // namespace
 }  // namespace gilfree

@@ -1,5 +1,4 @@
-// Shared helpers for the httpsim differential tests (mirrors the
-// run/trace-capture pattern of test_interp_modes.cpp): run a (possibly
+// Shared helpers for the httpsim differential tests: run a (possibly
 // sharded) server workload while capturing the request log, the trace file
 // bytes, and the metrics document; plus an independent "serialized
 // reference" that re-partitions the same load by hand and runs the shard

@@ -1,5 +1,5 @@
 // Seeded MiniRuby program generator shared by property-style tests
-// (test_fault, test_interp_modes).
+// (test_fault, test_golden_digest).
 //
 // The generated programs exercise every extended-yield-point opcode family
 // (locals, instance variables, class variables, sends, operators, array
