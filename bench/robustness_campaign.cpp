@@ -121,7 +121,7 @@ std::string jnum(double v) {
 }
 
 void append_httpsim_json(std::ostringstream& os, const char* key,
-                         const httpsim::ShardedRunResult& r) {
+                         const httpsim::cluster::ClusterRunResult& r) {
   os << "    \"" << key << "\": {\"completed\": " << r.completed
      << ", \"dropped\": " << r.dropped << ", \"shed\": " << r.shed
      << ", \"retries\": " << r.retries << ", \"spilled\": " << r.spilled
@@ -250,7 +250,7 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
   TablePrinter htable({"phase", "completed", "dropped", "shed", "retries",
                        "spilled", "transitions", "p50", "p99", "p99.9"});
   auto add_hrow = [&](const std::string& name,
-                      const httpsim::ShardedRunResult& r) {
+                      const httpsim::cluster::ClusterRunResult& r) {
     htable.add_row({name, std::to_string(r.completed),
                     std::to_string(r.dropped), std::to_string(r.shed),
                     std::to_string(r.retries), std::to_string(r.spilled),

@@ -82,6 +82,18 @@ void CliFlags::reject_unknown() const {
   }
 }
 
+CliFlags flags_from_strings(const std::vector<std::string>& args) {
+  std::vector<std::string> storage;
+  storage.reserve(args.size() + 1);
+  storage.push_back("flags");  // argv[0]; never read
+  storage.insert(storage.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  argv.reserve(storage.size());
+  for (std::string& s : storage) argv.push_back(s.data());
+  return CliFlags(static_cast<int>(argv.size()), argv.data(),
+                  /*throw_errors=*/true);
+}
+
 void CliFlags::fail(const std::string& msg) const {
   if (throw_errors_) throw std::invalid_argument(msg);
   std::fprintf(stderr, "error: %s\n", msg.c_str());

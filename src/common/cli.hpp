@@ -48,4 +48,9 @@ class CliFlags {
   bool throw_errors_ = false;
 };
 
+/// CliFlags over stored --flag arguments (no argv[0]), in throwing mode —
+/// how record headers, cluster Init frames and tests rebuild a parsed
+/// command line from flag strings.
+CliFlags flags_from_strings(const std::vector<std::string>& args);
+
 }  // namespace gilfree

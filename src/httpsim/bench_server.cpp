@@ -1,12 +1,11 @@
 #include "httpsim/bench_server.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "httpsim/cluster/epoch_loop.hpp"
 #include "obs/sink.hpp"
-#include "tle/breaker.hpp"
 
 namespace gilfree::httpsim {
 
@@ -35,8 +34,6 @@ ServerRunResult run_one(runtime::EngineConfig cfg, const std::string& program,
                          << expected);
   result.throughput_rps =
       driver.throughput_rps(engine.config().profile.machine.ghz);
-  result.latency_mean_cycles = driver.latency().mean();
-  result.latency_max_cycles = driver.latency().max();
   result.queue_mean_cycles = driver.queue_delay().mean();
   result.latency_hist = driver.latency_hist();
   result.queue_hist = driver.queue_hist();
@@ -48,14 +45,17 @@ ServerRunResult run_one(runtime::EngineConfig cfg, const std::string& program,
 
 }  // namespace
 
+void read_shard_flags(const CliFlags& flags, u32& shards, Router& router) {
+  const long n = flags.get_int("shards", shards);
+  if (n < 1 || n > 64)
+    throw std::invalid_argument("--shards must be in [1,64]");
+  shards = static_cast<u32>(n);
+  router = parse_router(flags.get("router", std::string(router_name(router))));
+}
+
 ShardOptions ShardOptions::from_flags(const CliFlags& flags) {
   ShardOptions o;
-  const long shards = flags.get_int("shards", o.shards);
-  if (shards < 1 || shards > 64)
-    throw std::invalid_argument("--shards must be in [1,64]");
-  o.shards = static_cast<u32>(shards);
-  o.router =
-      parse_router(flags.get("router", std::string(router_name(o.router))));
+  read_shard_flags(flags, o.shards, o.router);
 
   const std::string breaker = flags.get("breaker", "off");
   if (breaker == "on") {
@@ -96,7 +96,7 @@ ShardOptions ShardOptions::from_flags(const CliFlags& flags) {
   o.breaker.latency_budget = static_cast<Cycles>(latency);
   const long fault_shard = flags.get_int(
       "breaker-fault-shard", static_cast<long>(o.breaker.fault_shard));
-  if (fault_shard < -1 || fault_shard >= shards)
+  if (fault_shard < -1 || fault_shard >= static_cast<long>(o.shards))
     throw std::invalid_argument(
         "--breaker-fault-shard must be -1 or a shard index < --shards");
   o.breaker.fault_shard = static_cast<i32>(fault_shard);
@@ -149,227 +149,47 @@ ServerRunResult run_open_loop_slice(runtime::EngineConfig cfg,
   return run_one(std::move(cfg), program_source, driver, driver.scheduled());
 }
 
-namespace {
-
-/// Records one breaker transition and mirrors it into the trace stream so
-/// trace consumers see brown-outs inline with the per-shard engine events.
-void note_transition(ShardedRunResult& out, obs::Sink* sink, u32 epoch,
-                     u32 shard, const char* state) {
-  out.breaker_transitions.push_back(BreakerTransition{epoch, shard, state});
-  if (sink != nullptr && sink->enabled()) {
-    std::string line = "{\"ev\":\"breaker\",\"shard\":";
-    line += std::to_string(shard);
-    line += ",\"epoch\":";
-    line += std::to_string(epoch);
-    line += ",\"state\":\"";
-    line += state;
-    line += "\"}";
-    sink->write_raw(line);
-  }
-}
-
-/// The breaker-enabled sharded run: the schedule is sliced into epochs; each
-/// (epoch, shard) slice runs on its own engine; epoch health feeds the
-/// per-shard tle::BreakerCore and an open shard's keys spill to the next
-/// healthy shard in ring order. Fully deterministic for a fixed seed: the
-/// schedule, the routing, the health evaluation, and therefore every
-/// transition depend only on configuration.
-ShardedRunResult run_sharded_breaker(
+cluster::ClusterRunResult run_sharded(
     const runtime::EngineConfig& base, const std::string& program_source,
     const DriverConfig& driver_config, const ShardOptions& options,
-    obs::Sink* sink, const std::map<std::string, std::string>& labels) {
-  GILFREE_CHECK_MSG(driver_config.arrival != Arrival::kClosed,
-                    "--breaker=on requires an open-loop arrival");
-  const double ghz = base.profile.machine.ghz;
-  const BreakerOptions& bo = options.breaker;
-  const auto schedule = make_schedule(driver_config, ghz);
-  GILFREE_CHECK(!schedule.empty());
-
-  const tle::BreakerParams params{bo.trip_streak, bo.probe_initial,
-                                  bo.probe_max};
-  std::vector<tle::BreakerCore> breaker(options.shards);
-
-  ShardedRunResult out;
-  std::vector<ServerRunResult> acc(options.shards);
-  std::vector<std::vector<RequestRecord>> shard_records(options.shards);
-
-  for (u32 e = 0; e < bo.epochs; ++e) {
-    const std::size_t lo = schedule.size() * e / bo.epochs;
-    const std::size_t hi =
-        schedule.size() * static_cast<std::size_t>(e + 1) / bo.epochs;
-    if (lo == hi) continue;
-
-    // Epoch routing state per shard. A probe epoch serves the shard's own
-    // keys; an open epoch spills them.
-    std::vector<tle::BreakerRoute> route(options.shards);
-    for (u32 s = 0; s < options.shards; ++s) {
-      route[s] = breaker[s].route();
-      if (route[s] == tle::BreakerRoute::kProbe)
-        note_transition(out, sink, e, s, "probe");
-    }
-    std::vector<std::vector<ScheduledRequest>> slice(options.shards);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ScheduledRequest& r = schedule[i];
-      u32 target = route_key(options.router, r.id, r.key, options.shards,
-                             driver_config.seed);
-      if (route[target] == tle::BreakerRoute::kOpen) {
-        for (u32 step = 1; step < options.shards; ++step) {
-          const u32 cand = (target + step) % options.shards;
-          if (route[cand] != tle::BreakerRoute::kOpen) {
-            target = cand;
-            ++out.spilled;
-            break;
-          }
-        }  // every shard open: the preferred shard keeps the request
-      }
-      slice[target].push_back(r);
-    }
-
-    for (u32 s = 0; s < options.shards; ++s) {
-      if (slice[s].empty()) continue;  // no traffic, no health evidence
-      runtime::EngineConfig cfg = base;
-      cfg.shard_id = s;
-      cfg.shard_count = options.shards;
-      // Asymmetric brown-out demonstration: the fault campaign hits only
-      // the designated shard, the others stay healthy spill targets.
-      if (bo.fault_shard >= 0 && static_cast<i32>(s) != bo.fault_shard)
-        cfg.fault = fault::FaultConfig{};
-      if (sink != nullptr) {
-        auto run_labels = labels;
-        run_labels["shard"] = std::to_string(s);
-        run_labels["shards"] = std::to_string(options.shards);
-        run_labels["epoch"] = std::to_string(e);
-        run_labels["epochs"] = std::to_string(bo.epochs);
-        sink->next_labels(std::move(run_labels));
-        cfg.obs_sink = sink;
-      }
-      ServerRunResult r = run_open_loop_slice(
-          std::move(cfg), program_source, driver_config, slice[s], hi - lo);
-
-      const double bad =
-          static_cast<double>(r.dropped + r.shed) /
-          static_cast<double>(slice[s].size());
-      bool unhealthy = bad > bo.shed_ratio;
-      if (bo.latency_budget > 0 && r.completed > 0 &&
-          r.latency_hist.percentile(99.0) >
-              static_cast<double>(bo.latency_budget)) {
-        unhealthy = true;
-      }
-      if (unhealthy) {
-        const tle::BreakerOutcome bko = breaker[s].on_failure(params, true);
-        if (bko.probe_failed) note_transition(out, sink, e, s, "probe-failed");
-        if (bko.tripped) note_transition(out, sink, e, s, "open");
-      } else if (breaker[s].on_success()) {
-        note_transition(out, sink, e, s, "closed");
-      }
-
-      ServerRunResult& a = acc[s];
-      a.completed += r.completed;
-      a.dropped += r.dropped;
-      a.shed += r.shed;
-      a.retries += r.retries;
-      a.latency_hist.merge(r.latency_hist);
-      a.queue_hist.merge(r.queue_hist);
-      a.last_response = std::max(a.last_response, r.last_response);
-      shard_records[s].insert(shard_records[s].end(), r.records.begin(),
-                              r.records.end());
-      a.stats = std::move(r.stats);  // last epoch's engine stats
-    }
-  }
-
-  std::vector<RequestRecord> merged;
-  for (u32 s = 0; s < options.shards; ++s) {
-    ServerRunResult& a = acc[s];
-    a.latency_mean_cycles = a.latency_hist.total() > 0
-                                ? static_cast<double>(a.latency_hist.sum()) /
-                                      static_cast<double>(a.latency_hist.total())
-                                : 0.0;
-    a.queue_mean_cycles = a.queue_hist.total() > 0
-                              ? static_cast<double>(a.queue_hist.sum()) /
-                                    static_cast<double>(a.queue_hist.total())
-                              : 0.0;
-    if (a.last_response > 0) {
-      a.throughput_rps = static_cast<double>(a.completed) /
-                         (static_cast<double>(a.last_response) / (ghz * 1e9));
-    }
-    std::sort(shard_records[s].begin(), shard_records[s].end(),
-              [](const RequestRecord& x, const RequestRecord& y) {
-                return x.id < y.id;
-              });
-    a.request_log = format_request_log(shard_records[s], driver_config.paths);
-    a.records = shard_records[s];
-    out.latency_hist.merge(a.latency_hist);
-    out.queue_hist.merge(a.queue_hist);
-    out.completed += a.completed;
-    out.dropped += a.dropped;
-    out.shed += a.shed;
-    out.retries += a.retries;
-    out.makespan = std::max(out.makespan, a.last_response);
-    merged.insert(merged.end(), shard_records[s].begin(),
-                  shard_records[s].end());
-    out.shards.push_back(std::move(a));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestRecord& x, const RequestRecord& y) {
-              return x.id < y.id;
-            });
-  out.request_log = format_request_log(merged, driver_config.paths);
-  if (out.makespan > 0) {
-    out.throughput_rps = static_cast<double>(out.completed) /
-                         (static_cast<double>(out.makespan) / (ghz * 1e9));
-  }
-  return out;
-}
-
-}  // namespace
-
-ShardedRunResult run_sharded(const runtime::EngineConfig& base,
-                             const std::string& program_source,
-                             const DriverConfig& driver_config,
-                             const ShardOptions& options,
-                             obs::Sink* sink,
-                             std::map<std::string, std::string> labels) {
+    obs::Sink* sink, std::map<std::string, std::string> labels) {
   GILFREE_CHECK(options.shards >= 1 && options.shards <= 64);
-  if (options.breaker.enabled) {
-    return run_sharded_breaker(base, program_source, driver_config, options,
-                               sink, labels);
-  }
   const double ghz = base.profile.machine.ghz;
-
-  // Partition the load deterministically before any engine runs, so the
-  // partition depends only on (driver seed, router, shard count).
-  std::vector<DriverConfig> shard_cfg(options.shards, driver_config);
-  std::vector<std::vector<ScheduledRequest>> shard_sched(options.shards);
-  std::size_t schedule_total = 0;
-  if (driver_config.arrival == Arrival::kClosed) {
-    GILFREE_CHECK_MSG(driver_config.clients >= options.shards,
-                      "closed-loop sharding needs >= 1 client per shard");
-    i64 next_id = driver_config.first_id;
-    for (u32 s = 0; s < options.shards; ++s) {
-      shard_cfg[s].clients = driver_config.clients / options.shards +
-                             (s < driver_config.clients % options.shards);
-      shard_cfg[s].total_requests =
-          driver_config.total_requests / options.shards +
-          (s < driver_config.total_requests % options.shards);
-      shard_cfg[s].first_id = next_id;
-      next_id += shard_cfg[s].total_requests;
-    }
-  } else {
+  if (driver_config.arrival != Arrival::kClosed) {
+    const BreakerOptions& bo = options.breaker;
     const auto schedule = make_schedule(driver_config, ghz);
-    schedule_total = schedule.size();
-    for (const ScheduledRequest& r : schedule) {
-      shard_sched[route_key(options.router, r.id, r.key, options.shards,
-                            driver_config.seed)]
-          .push_back(r);
-    }
+    GILFREE_CHECK(!bo.enabled || !schedule.empty());
+    cluster::ClusterOptions opt;
+    opt.shards = options.shards;
+    opt.router = options.router;
+    opt.epochs = bo.enabled ? bo.epochs : 1;
+    cluster::InProcessTransport transport(
+        base, program_source, driver_config, options.shards, opt.epochs, sink,
+        std::move(labels), bo.enabled ? bo.fault_shard : -1);
+    return cluster::run_epochs(schedule, driver_config, ghz, opt, bo,
+                               transport, sink);
   }
 
-  ShardedRunResult out;
-  std::vector<RequestRecord> merged;
+  // A closed loop has no schedule to slice: split the clients and request
+  // counts round-robin and run each shard once.
+  GILFREE_CHECK_MSG(driver_config.clients >= options.shards,
+                    "closed-loop sharding needs >= 1 client per shard");
+  cluster::ClusterRunResult out;
+  out.slot_used.assign(options.shards, true);
+  std::vector<std::vector<RequestRecord>> records(options.shards);
+  i64 next_id = driver_config.first_id;
   for (u32 s = 0; s < options.shards; ++s) {
+    DriverConfig dcfg = driver_config;
+    dcfg.clients = driver_config.clients / options.shards +
+                   (s < driver_config.clients % options.shards);
+    dcfg.total_requests = driver_config.total_requests / options.shards +
+                          (s < driver_config.total_requests % options.shards);
+    dcfg.first_id = next_id;
+    next_id += dcfg.total_requests;
     runtime::EngineConfig cfg = base;
     cfg.shard_id = s;
     cfg.shard_count = options.shards;
+    cfg.heap.max_threads = dcfg.total_requests + 8;
     if (sink != nullptr) {
       auto shard_labels = labels;
       shard_labels["shard"] = std::to_string(s);
@@ -377,35 +197,12 @@ ShardedRunResult run_sharded(const runtime::EngineConfig& base,
       sink->next_labels(std::move(shard_labels));
       cfg.obs_sink = sink;
     }
-    ServerRunResult r;
-    if (driver_config.arrival == Arrival::kClosed) {
-      cfg.heap.max_threads = shard_cfg[s].total_requests + 8;
-      ClosedLoopDriver driver(shard_cfg[s]);
-      r = run_one(std::move(cfg), program_source, driver,
-                  shard_cfg[s].total_requests);
-    } else {
-      r = run_open_loop_slice(std::move(cfg), program_source, driver_config,
-                              shard_sched[s], schedule_total);
-    }
-    out.latency_hist.merge(r.latency_hist);
-    out.queue_hist.merge(r.queue_hist);
-    out.completed += r.completed;
-    out.dropped += r.dropped;
-    out.shed += r.shed;
-    out.retries += r.retries;
-    out.makespan = std::max(out.makespan, r.last_response);
-    merged.insert(merged.end(), r.records.begin(), r.records.end());
-    out.shards.push_back(std::move(r));
+    ClosedLoopDriver driver(dcfg);
+    out.shards.push_back(
+        run_one(std::move(cfg), program_source, driver, dcfg.total_requests));
+    records[s] = std::move(out.shards.back().records);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
-  out.request_log = format_request_log(merged, driver_config.paths);
-  if (out.makespan > 0) {
-    out.throughput_rps = static_cast<double>(out.completed) /
-                         (static_cast<double>(out.makespan) / (ghz * 1e9));
-  }
+  cluster::merge_shards(out, std::move(records), driver_config.paths, ghz);
   return out;
 }
 

@@ -1,6 +1,10 @@
 // Runners for the server-simulation experiments: the closed-loop WEBrick /
 // Rails throughput panels (Fig. 7) and the open-loop latency/queueing runs,
 // optionally sharded across multiple independent engines.
+// Every sharded open-loop run goes through the one epoch loop of
+// cluster/epoch_loop.hpp and yields a cluster::ClusterRunResult:
+// run_sharded drives it with the in-process transport (breakers included),
+// cluster::run_cluster with the pipe transport.
 #pragma once
 
 #include <map>
@@ -23,8 +27,6 @@ struct ServerRunResult {
   u32 dropped = 0;  ///< Tail-dropped by the bounded admission queue.
   u32 shed = 0;     ///< Deadline sheds + CoDel drops (docs/ROBUSTNESS.md).
   u32 retries = 0;  ///< Retry re-admissions consumed by retry budgets.
-  double latency_mean_cycles = 0.0;  ///< Mean arrival→response latency.
-  double latency_max_cycles = 0.0;
   double queue_mean_cycles = 0.0;  ///< Mean arrival→accept queueing delay.
   obs::LatencyHistogram latency_hist;
   obs::LatencyHistogram queue_hist;
@@ -34,8 +36,6 @@ struct ServerRunResult {
   std::string request_log;
   std::vector<RequestRecord> records;
   runtime::RunStats stats;
-
-  double latency_p(double p) const { return latency_hist.percentile(p); }
 };
 
 /// Per-shard circuit breakers with brown-out routing (docs/ROBUSTNESS.md).
@@ -68,6 +68,10 @@ struct ShardOptions {
   static ShardOptions from_flags(const CliFlags& flags);
 };
 
+/// Reads --shards= (range-checked to [1,64]) and --router= over the given
+/// defaults; the one parse ShardOptions and cluster::ClusterOptions share.
+void read_shard_flags(const CliFlags& flags, u32& shards, Router& router);
+
 /// One circuit-breaker state transition during a sharded breaker run, in
 /// (epoch, shard) order. `state` is "open", "probe", "probe-failed", or
 /// "closed" — the same strings the trace JSONL carries.
@@ -77,9 +81,29 @@ struct BreakerTransition {
   std::string state;
 };
 
-/// A sharded run's merged view plus the per-shard results.
-struct ShardedRunResult {
+namespace cluster {
+
+struct StealEvent {
+  u32 epoch = 0;
+  u32 from = 0;
+  u32 to = 0;
+  u64 moved = 0;
+};
+
+struct ScaleEvent {
+  u32 epoch = 0;
+  bool up = false;
+  u32 slot = 0;
+};
+
+/// The merged result of every sharded run, in-process (run_sharded) or
+/// multi-process (run_cluster).
+struct ClusterRunResult {
+  /// Per-slot accumulated results (size = slot count; never-spawned slots
+  /// stay zero — see slot_used). `stats` holds the slot's last engine run
+  /// in this process (in-process transport only).
   std::vector<ServerRunResult> shards;
+  std::vector<bool> slot_used;
   obs::LatencyHistogram latency_hist;  ///< Merged across shards.
   obs::LatencyHistogram queue_hist;
   u64 completed = 0;
@@ -88,14 +112,29 @@ struct ShardedRunResult {
   u64 retries = 0;  ///< Retry re-admissions across shards.
   Cycles makespan = 0;  ///< Latest response across shards (shared t=0 epoch).
   double throughput_rps = 0.0;  ///< completed / makespan.
-  std::string request_log;  ///< Global-id-ordered merge of the shard logs.
-  /// Breaker mode only: every brown-out / probe / recovery transition, in
+  std::string request_log;  ///< Global-id-ordered merge of all records.
+  /// Breaker runs only: every brown-out / probe / recovery transition, in
   /// deterministic (epoch, shard) order.
   std::vector<BreakerTransition> breaker_transitions;
-  /// Breaker mode only: requests served off their preferred (router-chosen)
+  /// Breaker runs only: requests served off their preferred (router-chosen)
   /// shard because it was browned out.
   u64 spilled = 0;
+  std::vector<StealEvent> steals;
+  std::vector<ScaleEvent> scales;
+  u64 stolen = 0;  ///< Total requests migrated by stealing.
+  /// Worst per-shard dispatch depth (batch size + carried backlog) over all
+  /// epochs, before and after the steal pass — the pair the bench gates
+  /// compare to show stealing flattens the skew.
+  u64 peak_depth_presteal = 0;
+  u64 peak_depth = 0;
+  u32 max_active = 0;  ///< Peak simultaneous shards.
+  /// The run's deterministic decision stream: one JSONL line per epoch /
+  /// steal / dispatch / scale event plus the end summary. The record writer
+  /// persists these; replay verification re-runs and compares them.
+  std::vector<std::string> record_lines;
 };
+
+}  // namespace cluster
 
 /// Runs `program_source` (webrick_source()/rails_source()) against the load
 /// described by `driver_config` — closed-loop or open-loop per
@@ -118,20 +157,19 @@ ServerRunResult run_open_loop_slice(runtime::EngineConfig cfg,
                                     std::size_t schedule_total);
 
 /// Runs one logical server workload split across `options.shards`
-/// independent engines. Every shard engine is cloned from `base` (with
-/// shard_id/shard_count set), shares the t=0 virtual epoch, and executes its
-/// deterministic slice of the load: the open-loop arrival schedule is
-/// pre-generated once and partitioned by the router; closed-loop clients and
-/// request counts are split round-robin. Shards run sequentially (they are
-/// independent simulations), and the merged result combines histograms,
-/// counts, and the global request log; throughput uses the makespan across
-/// shards. When `sink` is set, each shard's run is delivered to it tagged
-/// with `labels` plus shard=<i>/shards=<n>.
-ShardedRunResult run_sharded(const runtime::EngineConfig& base,
-                             const std::string& program_source,
-                             const DriverConfig& driver_config,
-                             const ShardOptions& options,
-                             obs::Sink* sink = nullptr,
-                             std::map<std::string, std::string> labels = {});
+/// independent engines in this process. Every shard engine is cloned from
+/// `base` (with shard_id/shard_count set) and shares the t=0 virtual epoch.
+/// An open-loop schedule is pre-generated once and driven through the epoch
+/// loop with the in-process transport: one epoch, or breaker.epochs windows
+/// when breakers are on. A closed loop has no schedule, so its clients and
+/// request counts are split round-robin and each shard runs once. Shards
+/// run sequentially in slot order (they are independent simulations);
+/// throughput uses the makespan across shards. When `sink` is set, each
+/// engine run is delivered to it tagged with `labels` plus
+/// shard=<i>/shards=<n> (and epoch=<e>/epochs=<n> for multi-epoch runs).
+cluster::ClusterRunResult run_sharded(
+    const runtime::EngineConfig& base, const std::string& program_source,
+    const DriverConfig& driver_config, const ShardOptions& options,
+    obs::Sink* sink = nullptr, std::map<std::string, std::string> labels = {});
 
 }  // namespace gilfree::httpsim

@@ -255,20 +255,23 @@ BatchMsg BatchMsg::decode(const std::string& payload) {
 // --- ResultMsg --------------------------------------------------------------
 
 std::string ResultMsg::encode() const {
+  const SliceOutcome& o = outcome;
+  const std::string latency_hist = o.latency_hist.serialize();
+  const std::string queue_hist = o.queue_hist.serialize();
   require_no_newline(latency_hist, "latency histogram");
   require_no_newline(queue_hist, "queue histogram");
   std::string out;
   out += "epoch " + std::to_string(epoch) + "\n";
-  out += "completed " + std::to_string(completed) + "\n";
-  out += "dropped " + std::to_string(dropped) + "\n";
-  out += "shed " + std::to_string(shed) + "\n";
-  out += "retries " + std::to_string(retries) + "\n";
-  out += "backlog " + std::to_string(backlog) + "\n";
-  out += "last_response " + std::to_string(last_response) + "\n";
+  out += "completed " + std::to_string(o.completed) + "\n";
+  out += "dropped " + std::to_string(o.dropped) + "\n";
+  out += "shed " + std::to_string(o.shed) + "\n";
+  out += "retries " + std::to_string(o.retries) + "\n";
+  out += "backlog " + std::to_string(o.backlog) + "\n";
+  out += "last_response " + std::to_string(o.last_response) + "\n";
   out += "lat " + latency_hist + "\n";
   out += "que " + queue_hist + "\n";
-  out += "n " + std::to_string(records.size()) + "\n";
-  for (const RequestRecord& r : records) {
+  out += "n " + std::to_string(o.records.size()) + "\n";
+  for (const RequestRecord& r : o.records) {
     out += "rec " + std::to_string(r.id) + " " + std::to_string(r.arrival) +
            " " + std::to_string(r.accepted) + " " +
            std::to_string(r.responded) + " " + std::to_string(r.path) + " " +
@@ -282,6 +285,7 @@ std::string ResultMsg::encode() const {
 
 ResultMsg ResultMsg::decode(const std::string& payload) {
   ResultMsg m;
+  SliceOutcome& o = m.outcome;
   u64 expected = 0;
   bool have_n = false;
   LineReader lines(payload);
@@ -290,25 +294,25 @@ ResultMsg ResultMsg::decode(const std::string& payload) {
     if (key == "epoch") {
       m.epoch = static_cast<u32>(parse_u64(value, "epoch"));
     } else if (key == "completed") {
-      m.completed = parse_u64(value, "completed");
+      o.completed = parse_u64(value, "completed");
     } else if (key == "dropped") {
-      m.dropped = parse_u64(value, "dropped");
+      o.dropped = parse_u64(value, "dropped");
     } else if (key == "shed") {
-      m.shed = parse_u64(value, "shed");
+      o.shed = parse_u64(value, "shed");
     } else if (key == "retries") {
-      m.retries = parse_u64(value, "retries");
+      o.retries = parse_u64(value, "retries");
     } else if (key == "backlog") {
-      m.backlog = parse_u64(value, "backlog");
+      o.backlog = parse_u64(value, "backlog");
     } else if (key == "last_response") {
-      m.last_response = parse_u64(value, "last_response");
+      o.last_response = parse_u64(value, "last_response");
     } else if (key == "lat") {
-      m.latency_hist = value;
+      o.latency_hist = obs::LatencyHistogram::deserialize(value);
     } else if (key == "que") {
-      m.queue_hist = value;
+      o.queue_hist = obs::LatencyHistogram::deserialize(value);
     } else if (key == "n") {
       expected = parse_u64(value, "n");
       have_n = true;
-      m.records.reserve(expected);
+      o.records.reserve(expected);
     } else if (key == "rec") {
       std::istringstream fields(value);
       long long id = 0;
@@ -333,13 +337,13 @@ ResultMsg ResultMsg::decode(const std::string& payload) {
       r.outcome = static_cast<RequestOutcome>(outcome);
       r.deadline = static_cast<Cycles>(deadline);
       r.attempts = static_cast<u8>(attempts);
-      m.records.push_back(r);
+      o.records.push_back(r);
     } else {
       throw std::invalid_argument("cluster result: unknown field \"" + key +
                                   "\"");
     }
   }
-  if (!have_n || m.records.size() != expected)
+  if (!have_n || o.records.size() != expected)
     throw std::invalid_argument("cluster result: record count mismatch");
   return m;
 }

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "httpsim/client_driver.hpp"
+#include "obs/latency_hist.hpp"
+#include "runtime/run_stats.hpp"
 
 namespace gilfree::httpsim::cluster {
 
@@ -79,11 +81,10 @@ struct BatchMsg {
   static BatchMsg decode(const std::string& payload);
 };
 
-/// kResult payload: the worker's slice outcome — counters, exact-wire
-/// histograms, and every request record (the supervisor re-sorts them into
-/// the global log).
-struct ResultMsg {
-  u32 epoch = 0;
+/// One (epoch, slot) slice's outcome — what the epoch loop consumes from
+/// either transport: counters, histograms, and every request record (the
+/// loop re-sorts them into the global log).
+struct SliceOutcome {
   u64 completed = 0;
   u64 dropped = 0;
   u64 shed = 0;
@@ -93,9 +94,19 @@ struct ResultMsg {
   /// signal the steal and autoscale policies act on.
   u64 backlog = 0;
   Cycles last_response = 0;
-  std::string latency_hist;  ///< obs::LatencyHistogram::serialize().
-  std::string queue_hist;
+  obs::LatencyHistogram latency_hist;
+  obs::LatencyHistogram queue_hist;
   std::vector<RequestRecord> records;
+  /// The slice engine's run stats: set by the in-process transport when an
+  /// engine ran, never carried on the wire.
+  std::optional<runtime::RunStats> stats;
+};
+
+/// kResult payload: the worker's slice outcome, histograms in their exact
+/// wire form (obs::LatencyHistogram::serialize).
+struct ResultMsg {
+  u32 epoch = 0;
+  SliceOutcome outcome;
 
   std::string encode() const;
   static ResultMsg decode(const std::string& payload);

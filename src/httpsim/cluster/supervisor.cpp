@@ -4,25 +4,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "common/check.hpp"
 #include "common/cli.hpp"
+#include "httpsim/cluster/epoch_loop.hpp"
 #include "httpsim/cluster/worker.hpp"
-#include "obs/json.hpp"
-#include "obs/sink.hpp"
 
 namespace gilfree::httpsim::cluster {
 
 ClusterOptions ClusterOptions::from_flags(const CliFlags& flags) {
   ClusterOptions o;
-  const long shards = flags.get_int("shards", o.shards);
-  if (shards < 1 || shards > 64)
-    throw std::invalid_argument("--shards must be in [1,64]");
-  o.shards = static_cast<u32>(shards);
-  o.router =
-      parse_router(flags.get("router", std::string(router_name(o.router))));
+  read_shard_flags(flags, o.shards, o.router);
+  const long shards = o.shards;
   const long max_shards =
       flags.get_int("scale-max", static_cast<long>(o.max_shards));
   if (max_shards != 0 && (max_shards < shards || max_shards > 64))
@@ -248,35 +241,45 @@ InitMsg make_init(const ClusterSpec& spec, u32 slot, u32 slots) {
   return init;
 }
 
-void emit_event(ClusterRunResult& result, obs::Sink* sink,
-                const std::string& line, bool trace) {
-  result.record_lines.push_back(line);
-  if (trace && sink != nullptr && sink->enabled()) sink->write_raw(line);
-}
+/// Runs each slot's batches in its own worker process. send() writes the
+/// Batch frame and returns, so every worker of an epoch simulates
+/// concurrently until receive() reads the Result frames in slot order.
+/// Workers still alive at destruction (an error unwound the loop) are
+/// abandoned: closing their pipes makes them exit on EOF.
+class PipeTransport final : public Transport {
+ public:
+  PipeTransport(const ClusterSpec& spec, u32 slots)
+      : spec_(spec), slots_(slots), procs_(slots), sent_epoch_(slots, 0) {}
+  ~PipeTransport() override { abandon_workers(procs_); }
 
-std::string steal_line(const StealEvent& ev) {
-  std::string line = "{\"ev\":\"steal\",\"epoch\":";
-  line += std::to_string(ev.epoch);
-  line += ",\"from\":";
-  line += std::to_string(ev.from);
-  line += ",\"to\":";
-  line += std::to_string(ev.to);
-  line += ",\"moved\":";
-  line += std::to_string(ev.moved);
-  line += "}";
-  return line;
-}
+  void start(u32 slot) override {
+    procs_[slot] = spawn_worker(make_init(spec_, slot, slots_));
+  }
+  void stop(u32 slot) override { retire_worker(procs_[slot], slot); }
 
-std::string scale_line(const ScaleEvent& ev) {
-  std::string line = "{\"ev\":\"scale\",\"epoch\":";
-  line += std::to_string(ev.epoch);
-  line += ",\"dir\":\"";
-  line += ev.up ? "up" : "down";
-  line += "\",\"slot\":";
-  line += std::to_string(ev.slot);
-  line += "}";
-  return line;
-}
+  void send(u32 slot, BatchMsg batch) override {
+    sent_epoch_[slot] = batch.epoch;
+    write_frame(procs_[slot].to_fd, FrameKind::kBatch, batch.encode());
+  }
+
+  SliceOutcome receive(u32 slot) override {
+    const auto frame = read_frame(procs_[slot].from_fd);
+    if (!frame || frame->kind != FrameKind::kResult)
+      throw std::runtime_error("cluster: shard " + std::to_string(slot) +
+                               " did not return a result");
+    ResultMsg m = ResultMsg::decode(frame->payload);
+    if (m.epoch != sent_epoch_[slot])
+      throw std::runtime_error("cluster: shard " + std::to_string(slot) +
+                               " answered for the wrong epoch");
+    return std::move(m.outcome);
+  }
+
+ private:
+  const ClusterSpec& spec_;
+  u32 slots_;
+  std::vector<WorkerProc> procs_;
+  std::vector<u32> sent_epoch_;
+};
 
 }  // namespace
 
@@ -292,271 +295,15 @@ ClusterRunResult run_cluster(const ClusterSpec& spec, obs::Sink* sink) {
   // Validate the engine spec in the supervisor before any fork, so name and
   // flag errors surface as one clean exception instead of a worker exit.
   const InitMsg probe = make_init(spec, 0, slots);
-  const runtime::EngineConfig base = engine_config_from_init(probe);
-  const double ghz = base.profile.machine.ghz;
+  const double ghz = engine_config_from_init(probe).profile.machine.ghz;
 
   const auto schedule = make_schedule(spec.driver, ghz);
   if (schedule.empty())
     throw std::invalid_argument("cluster run needs a non-empty schedule");
 
-  ClusterRunResult result;
-  result.shards.resize(slots);
-  result.slot_used.assign(slots, false);
-  std::vector<WorkerProc> procs(slots);
-  std::vector<bool> active(slots, false);
-  std::vector<std::vector<ScheduledRequest>> pending(slots);
-  std::vector<u64> backlog_carry(slots, 0);
-  std::vector<Cycles> epoch_p99(slots, 0);
-  std::vector<std::vector<RequestRecord>> slot_records(slots);
-  u32 next_slot = opt.shards;
-  u32 up_streak = 0;
-  u32 idle_streak = 0;
-
-  try {
-    for (u32 s = 0; s < opt.shards; ++s) {
-      procs[s] = spawn_worker(make_init(spec, s, slots));
-      active[s] = true;
-      result.slot_used[s] = true;
-    }
-
-    Cycles window_end = 0;
-    for (u32 e = 0; e < opt.epochs; ++e) {
-      const std::size_t lo = schedule.size() * e / opt.epochs;
-      const std::size_t hi =
-          schedule.size() * static_cast<std::size_t>(e + 1) / opt.epochs;
-      if (hi > lo) window_end = schedule[hi - 1].at;
-
-      std::vector<u32> act;
-      for (u32 s = 0; s < slots; ++s) {
-        if (active[s]) act.push_back(s);
-      }
-      result.max_active =
-          std::max(result.max_active, static_cast<u32>(act.size()));
-
-      {
-        std::string line = "{\"ev\":\"epoch\",\"epoch\":";
-        line += std::to_string(e);
-        line += ",\"lo\":";
-        line += std::to_string(lo);
-        line += ",\"hi\":";
-        line += std::to_string(hi);
-        line += ",\"active\":";
-        line += std::to_string(act.size());
-        line += "}";
-        emit_event(result, sink, line, /*trace=*/false);
-      }
-
-      // 1. Route this window's arrivals across the active shards.
-      for (std::size_t i = lo; i < hi; ++i) {
-        const ScheduledRequest& r = schedule[i];
-        const u32 idx = route_key(opt.router, r.id, r.key,
-                                  static_cast<u32>(act.size()),
-                                  spec.driver.seed);
-        pending[act[idx]].push_back(r);
-      }
-
-      const auto depth = [&](u32 s) {
-        return static_cast<u64>(pending[s].size()) + backlog_carry[s];
-      };
-      for (const u32 s : act)
-        result.peak_depth_presteal =
-            std::max(result.peak_depth_presteal, depth(s));
-
-      // 2. Steal pass: migrate queued requests from the deepest to the
-      // shallowest admission queue until the gap closes or the round
-      // budget runs out. Ties break toward the lowest slot id, so the
-      // whole pass is a pure function of the depths.
-      if (opt.steal && act.size() >= 2) {
-        for (u32 round = 0; round < opt.steal_rounds; ++round) {
-          u32 deepest = act[0];
-          u32 shallowest = act[0];
-          for (const u32 s : act) {
-            if (depth(s) > depth(deepest)) deepest = s;
-            if (depth(s) < depth(shallowest)) shallowest = s;
-          }
-          const u64 gap = depth(deepest) - depth(shallowest);
-          if (gap < opt.steal_margin || pending[deepest].empty()) break;
-          const u64 moved =
-              std::min<u64>({opt.steal_batch, pending[deepest].size(),
-                             std::max<u64>(1, gap / 2)});
-          auto& from = pending[deepest];
-          auto& to = pending[shallowest];
-          to.insert(to.end(), from.end() - static_cast<std::ptrdiff_t>(moved),
-                    from.end());
-          from.erase(from.end() - static_cast<std::ptrdiff_t>(moved),
-                     from.end());
-          const StealEvent ev{e, deepest, shallowest, moved};
-          result.steals.push_back(ev);
-          result.stolen += moved;
-          emit_event(result, sink, steal_line(ev), /*trace=*/true);
-        }
-      }
-      for (const u32 s : act)
-        result.peak_depth = std::max(result.peak_depth, depth(s));
-
-      // 3. Dispatch one batch per active shard (possibly empty, to keep the
-      // epoch lockstep), each sorted back into arrival order.
-      for (const u32 s : act) {
-        std::sort(pending[s].begin(), pending[s].end(),
-                  [](const ScheduledRequest& a, const ScheduledRequest& b) {
-                    return a.at != b.at ? a.at < b.at : a.id < b.id;
-                  });
-        BatchMsg batch;
-        batch.epoch = e;
-        batch.window_end = window_end;
-        batch.schedule_total = schedule.size();
-        batch.slice = std::move(pending[s]);
-        pending[s].clear();
-        {
-          std::string line = "{\"ev\":\"dispatch\",\"epoch\":";
-          line += std::to_string(e);
-          line += ",\"slot\":";
-          line += std::to_string(s);
-          line += ",\"n\":";
-          line += std::to_string(batch.slice.size());
-          line += "}";
-          emit_event(result, sink, line, /*trace=*/false);
-        }
-        write_frame(procs[s].to_fd, FrameKind::kBatch, batch.encode());
-      }
-
-      // 4. Collect results in slot order (the workers run concurrently; the
-      // deterministic merge order is what matters).
-      for (const u32 s : act) {
-        const auto frame = read_frame(procs[s].from_fd);
-        if (!frame || frame->kind != FrameKind::kResult)
-          throw std::runtime_error("cluster: shard " + std::to_string(s) +
-                                   " did not return a result");
-        const ResultMsg m = ResultMsg::decode(frame->payload);
-        if (m.epoch != e)
-          throw std::runtime_error("cluster: shard " + std::to_string(s) +
-                                   " answered for the wrong epoch");
-        const obs::LatencyHistogram lat =
-            obs::LatencyHistogram::deserialize(m.latency_hist);
-        const obs::LatencyHistogram que =
-            obs::LatencyHistogram::deserialize(m.queue_hist);
-        ServerRunResult& a = result.shards[s];
-        a.completed += static_cast<u32>(m.completed);
-        a.dropped += static_cast<u32>(m.dropped);
-        a.shed += static_cast<u32>(m.shed);
-        a.retries += static_cast<u32>(m.retries);
-        a.latency_hist.merge(lat);
-        a.queue_hist.merge(que);
-        a.last_response = std::max(a.last_response, m.last_response);
-        slot_records[s].insert(slot_records[s].end(), m.records.begin(),
-                               m.records.end());
-        backlog_carry[s] = m.backlog;
-        epoch_p99[s] = lat.total() > 0 ? lat.percentile(99.0) : 0;
-      }
-
-      // 5. Autoscale decision for the next epoch.
-      if (opt.autoscale && e + 1 < opt.epochs) {
-        bool overloaded = false;
-        bool idle = true;
-        for (const u32 s : act) {
-          if (backlog_carry[s] >= opt.scale_up_depth) overloaded = true;
-          if (opt.scale_up_p99 > 0 && epoch_p99[s] > opt.scale_up_p99)
-            overloaded = true;
-          if (backlog_carry[s] > opt.scale_down_depth) idle = false;
-        }
-        up_streak = overloaded ? up_streak + 1 : 0;
-        idle_streak = idle ? idle_streak + 1 : 0;
-        if (up_streak >= opt.scale_sustain && next_slot < slots) {
-          const u32 s = next_slot++;
-          procs[s] = spawn_worker(make_init(spec, s, slots));
-          active[s] = true;
-          result.slot_used[s] = true;
-          const ScaleEvent ev{e, /*up=*/true, s};
-          result.scales.push_back(ev);
-          emit_event(result, sink, scale_line(ev), /*trace=*/true);
-          up_streak = 0;
-        } else if (idle_streak >= opt.scale_idle &&
-                   act.size() > opt.scale_min) {
-          const u32 s = act.back();  // retire the highest-id active shard
-          retire_worker(procs[s], s);
-          active[s] = false;
-          const ScaleEvent ev{e, /*up=*/false, s};
-          result.scales.push_back(ev);
-          emit_event(result, sink, scale_line(ev), /*trace=*/true);
-          idle_streak = 0;
-        }
-      }
-    }
-
-    for (u32 s = 0; s < slots; ++s) {
-      if (active[s]) retire_worker(procs[s], s);
-    }
-  } catch (...) {
-    abandon_workers(procs);
-    throw;
-  }
-
-  // Final merge — the same shape the in-process sharded runner produces.
-  std::vector<RequestRecord> merged;
-  for (u32 s = 0; s < slots; ++s) {
-    ServerRunResult& a = result.shards[s];
-    a.latency_mean_cycles =
-        a.latency_hist.total() > 0
-            ? static_cast<double>(a.latency_hist.sum()) /
-                  static_cast<double>(a.latency_hist.total())
-            : 0.0;
-    a.latency_max_cycles = static_cast<double>(a.latency_hist.max_value());
-    a.queue_mean_cycles =
-        a.queue_hist.total() > 0
-            ? static_cast<double>(a.queue_hist.sum()) /
-                  static_cast<double>(a.queue_hist.total())
-            : 0.0;
-    if (a.last_response > 0) {
-      a.throughput_rps = static_cast<double>(a.completed) /
-                         (static_cast<double>(a.last_response) / (ghz * 1e9));
-    }
-    std::sort(slot_records[s].begin(), slot_records[s].end(),
-              [](const RequestRecord& x, const RequestRecord& y) {
-                return x.id < y.id;
-              });
-    a.request_log = format_request_log(slot_records[s], spec.driver.paths);
-    a.records = slot_records[s];
-    result.latency_hist.merge(a.latency_hist);
-    result.queue_hist.merge(a.queue_hist);
-    result.completed += a.completed;
-    result.dropped += a.dropped;
-    result.shed += a.shed;
-    result.retries += a.retries;
-    result.makespan = std::max(result.makespan, a.last_response);
-    merged.insert(merged.end(), slot_records[s].begin(),
-                  slot_records[s].end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestRecord& x, const RequestRecord& y) {
-              return x.id < y.id;
-            });
-  result.request_log = format_request_log(merged, spec.driver.paths);
-  if (result.completed + result.dropped + result.shed != schedule.size())
-    throw std::runtime_error("cluster: request accounting mismatch");
-  if (result.makespan > 0) {
-    result.throughput_rps =
-        static_cast<double>(result.completed) /
-        (static_cast<double>(result.makespan) / (ghz * 1e9));
-  }
-  {
-    std::string line = "{\"ev\":\"end\",\"completed\":";
-    line += std::to_string(result.completed);
-    line += ",\"dropped\":";
-    line += std::to_string(result.dropped);
-    line += ",\"shed\":";
-    line += std::to_string(result.shed);
-    line += ",\"retries\":";
-    line += std::to_string(result.retries);
-    line += ",\"makespan\":";
-    line += std::to_string(result.makespan);
-    line += ",\"stolen\":";
-    line += std::to_string(result.stolen);
-    line += ",\"log_fnv\":\"";
-    line += std::to_string(fnv1a64(result.request_log));
-    line += "\"}";
-    emit_event(result, sink, line, /*trace=*/false);
-  }
-  return result;
+  PipeTransport transport(spec, slots);
+  return run_epochs(schedule, spec.driver, ghz, opt, BreakerOptions{},
+                    transport, sink);
 }
 
 }  // namespace gilfree::httpsim::cluster

@@ -1,15 +1,15 @@
-// The cluster supervisor: forks one shared-nothing simulator process per
-// shard (the `/proc/self/exe` re-exec pattern), partitions the open-loop
-// arrival schedule into epochs, routes each epoch's arrivals to the active
-// shards, and drives the workers over the pipe protocol. At every epoch
-// boundary it may rebalance queued work from the deepest to the shallowest
-// admission queue (cross-shard work stealing, trace-visible as `steal`
-// events) and grow or shrink the active shard set from queue-depth / p99
-// signals (autoscaling, trace-visible as `scale` events). Everything is
-// deterministic: routing, stealing, and scaling depend only on the seeded
-// schedule and the workers' (deterministic) results, so two same-seed runs
-// produce byte-identical merged logs, per-shard artifacts, and record
-// streams. docs/ARCHITECTURE.md has the state machines.
+// The cluster supervisor: runs the shared epoch loop (epoch_loop.hpp) over
+// the pipe transport, which forks one shared-nothing simulator process per
+// shard slot (the `/proc/self/exe` re-exec pattern) and drives it over the
+// pipe protocol. At every epoch boundary the loop may rebalance queued work
+// from the deepest to the shallowest admission queue (cross-shard work
+// stealing, trace-visible as `steal` events) and grow or shrink the active
+// shard set from queue-depth / p99 signals (autoscaling, trace-visible as
+// `scale` events). Everything is deterministic: routing, stealing, and
+// scaling depend only on the seeded schedule and the workers'
+// (deterministic) results, so two same-seed runs produce byte-identical
+// merged logs, per-shard artifacts, and record streams.
+// docs/ARCHITECTURE.md has the state machines.
 #pragma once
 
 #include <string>
@@ -88,48 +88,6 @@ struct ClusterSpec {
   /// Per-shard artifact stem: slot k writes <stem>.shard<k>.trace.jsonl and
   /// <stem>.shard<k>.metrics.json; "" disables per-shard artifacts.
   std::string artifact_stem;
-};
-
-struct StealEvent {
-  u32 epoch = 0;
-  u32 from = 0;
-  u32 to = 0;
-  u64 moved = 0;
-};
-
-struct ScaleEvent {
-  u32 epoch = 0;
-  bool up = false;
-  u32 slot = 0;
-};
-
-struct ClusterRunResult {
-  /// Per-slot accumulated results (size = options.slots(); never-spawned
-  /// slots stay zero — see slot_used).
-  std::vector<ServerRunResult> shards;
-  std::vector<bool> slot_used;
-  obs::LatencyHistogram latency_hist;  ///< Merged across shard processes.
-  obs::LatencyHistogram queue_hist;
-  u64 completed = 0;
-  u64 dropped = 0;
-  u64 shed = 0;
-  u64 retries = 0;
-  Cycles makespan = 0;
-  double throughput_rps = 0.0;
-  std::string request_log;  ///< Global-id-ordered merge of all records.
-  std::vector<StealEvent> steals;
-  std::vector<ScaleEvent> scales;
-  u64 stolen = 0;  ///< Total requests migrated by stealing.
-  /// Worst per-shard dispatch depth (batch size + carried backlog) over all
-  /// epochs, before and after the steal pass — the pair the bench gates
-  /// compare to show stealing flattens the skew.
-  u64 peak_depth_presteal = 0;
-  u64 peak_depth = 0;
-  u32 max_active = 0;  ///< Peak simultaneous shard processes.
-  /// The run's deterministic decision stream: one JSONL line per epoch /
-  /// steal / dispatch / scale event plus the end summary. The record writer
-  /// persists these; replay verification re-runs and compares them.
-  std::vector<std::string> record_lines;
 };
 
 /// FNV-1a 64 of a byte string; the record end line carries this hash of the

@@ -1,6 +1,5 @@
 #include "httpsim/cluster/worker.hpp"
 
-#include <algorithm>
 #include <iostream>
 #include <map>
 #include <stdexcept>
@@ -8,30 +7,12 @@
 #include "common/cli.hpp"
 #include "common/strutil.hpp"
 #include "fault/fault_config.hpp"
-#include "httpsim/bench_server.hpp"
+#include "httpsim/cluster/epoch_loop.hpp"
 #include "httpsim/server_programs.hpp"
 #include "obs/sink.hpp"
 #include "stm/stm_config.hpp"
 
 namespace gilfree::httpsim::cluster {
-
-namespace {
-
-/// Reconstructs a CliFlags from stored argument strings (throw_errors mode),
-/// the same trick the record/replay header machinery uses.
-CliFlags flags_from_strings(const std::vector<std::string>& args) {
-  std::vector<std::string> storage;
-  storage.reserve(args.size() + 1);
-  storage.push_back("cluster");
-  for (const std::string& a : args) storage.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& s : storage) argv.push_back(s.data());
-  return CliFlags(static_cast<int>(argv.size()), argv.data(),
-                  /*throw_errors=*/true);
-}
-
-}  // namespace
 
 runtime::EngineConfig engine_config_from_init(const InitMsg& init) {
   const htm::SystemProfile profile = htm::SystemProfile::by_name(init.machine);
@@ -107,14 +88,12 @@ int worker_main(int in_fd, int out_fd) {
                   << static_cast<u32>(frame->kind) << "\n";
         return 3;
       }
-      const BatchMsg batch = BatchMsg::decode(frame->payload);
+      BatchMsg batch = BatchMsg::decode(frame->payload);
 
       ResultMsg result;
       result.epoch = batch.epoch;
       if (batch.slice.empty()) {
         // Idle epoch: stay in lockstep without spinning up an engine.
-        result.latency_hist = obs::LatencyHistogram().serialize();
-        result.queue_hist = obs::LatencyHistogram().serialize();
         write_frame(out_fd, FrameKind::kResult, result.encode());
         continue;
       }
@@ -135,21 +114,8 @@ int worker_main(int in_fd, int out_fd) {
         });
         cfg.obs_sink = &sink;
       }
-      const ServerRunResult r = run_open_loop_slice(
-          std::move(cfg), program, driver, batch.slice,
-          static_cast<std::size_t>(batch.schedule_total));
-
-      result.completed = r.completed;
-      result.dropped = r.dropped;
-      result.shed = r.shed;
-      result.retries = r.retries;
-      result.last_response = r.last_response;
-      result.latency_hist = r.latency_hist.serialize();
-      result.queue_hist = r.queue_hist.serialize();
-      result.records = r.records;
-      for (const RequestRecord& rec : r.records) {
-        if (rec.accepted > batch.window_end) ++result.backlog;
-      }
+      result.outcome =
+          serve_slice(std::move(cfg), program, driver, std::move(batch));
       write_frame(out_fd, FrameKind::kResult, result.encode());
     }
     sink.flush();

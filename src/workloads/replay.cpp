@@ -12,20 +12,6 @@ namespace gilfree::workloads {
 
 namespace {
 
-/// Reconstructs a CliFlags from the header's stored argument strings.
-/// Throws std::invalid_argument on malformed entries (throw_errors mode).
-CliFlags flags_from_strings(const std::vector<std::string>& args) {
-  std::vector<std::string> storage;
-  storage.reserve(args.size() + 1);
-  storage.push_back("replay");
-  for (const std::string& a : args) storage.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& s : storage) argv.push_back(s.data());
-  return CliFlags(static_cast<int>(argv.size()), argv.data(),
-                  /*throw_errors=*/true);
-}
-
 const std::string& scenario_key(const obs::RecordedRun& r, const char* key) {
   const auto it = r.scenario.find(key);
   if (it == r.scenario.end())

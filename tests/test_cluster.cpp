@@ -23,6 +23,7 @@
 #include "htm/profile.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/client_driver.hpp"
+#include "httpsim/cluster/epoch_loop.hpp"
 #include "httpsim/cluster/record.hpp"
 #include "httpsim/cluster/supervisor.hpp"
 #include "httpsim/cluster/worker.hpp"
@@ -161,7 +162,10 @@ TEST(ClusterRun, RejectsClosedLoopAndZeroRequests) {
 // multi-process cluster is the in-process sharded runner spread across OS
 // processes — the merged request log and every counter must match byte for
 // byte. This is what pins the worker's per-slice engine setup (rps share,
-// thread budget, shard_id/shard_count) to run_open_loop_slice.
+// thread budget, shard_id/shard_count) to run_open_loop_slice. The second
+// case holds the epoch loop's two transports against each other on a
+// multi-epoch run with stealing: worker processes and this process must
+// produce the same merged log, per-shard logs and decision stream.
 TEST(ClusterRun, FlagsOffMatchesInProcessSharding) {
   ClusterSpec spec = small_spec();
   spec.options.epochs = 1;
@@ -173,7 +177,7 @@ TEST(ClusterRun, FlagsOffMatchesInProcessSharding) {
   httpsim::ShardOptions sharding;
   sharding.shards = spec.options.shards;
   sharding.router = spec.options.router;
-  const httpsim::ShardedRunResult inproc = httpsim::run_sharded(
+  const ClusterRunResult inproc = httpsim::run_sharded(
       base, httpsim::webrick_source(), spec.driver, sharding);
 
   EXPECT_EQ(cluster.request_log, inproc.request_log);
@@ -187,6 +191,28 @@ TEST(ClusterRun, FlagsOffMatchesInProcessSharding) {
         << "shard " << s;
   EXPECT_EQ(cluster.completed + cluster.dropped + cluster.shed,
             spec.driver.total_requests);
+
+  spec.driver.key_space = 16;
+  spec.driver.zipf = 1.2;
+  spec.options.epochs = 8;
+  spec.options.steal = true;
+  spec.options.steal_margin = 8;
+  const ClusterRunResult piped = httpsim::cluster::run_cluster(spec);
+  const double ghz = base.profile.machine.ghz;
+  const std::string program = httpsim::webrick_source();
+  httpsim::cluster::InProcessTransport here(base, program, spec.driver,
+                                            spec.options.slots(),
+                                            spec.options.epochs);
+  const ClusterRunResult local = httpsim::cluster::run_epochs(
+      httpsim::make_schedule(spec.driver, ghz), spec.driver, ghz,
+      spec.options, httpsim::BreakerOptions{}, here);
+
+  EXPECT_GT(piped.stolen, 0u);
+  EXPECT_EQ(local.request_log, piped.request_log);
+  EXPECT_EQ(local.record_lines, piped.record_lines);
+  for (u32 s = 0; s < spec.options.slots(); ++s)
+    EXPECT_EQ(local.shards[s].request_log, piped.shards[s].request_log)
+        << "shard " << s;
 }
 
 // Two same-seed runs — separate worker process fleets — must agree byte for

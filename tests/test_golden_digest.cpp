@@ -11,15 +11,25 @@
 // name, and the fused-instruction count, which the document now pins at 0).
 // A change that is meant to move simulated output re-records them and says
 // why in its change notes.
+//
+// The sharded serving digests pin the epoch-sliced runs the same way: the
+// in-process breaker run (merged log, transition list, spill count) and a
+// multi-process fleet with stealing and autoscaling (merged log, decision
+// stream). The fleet re-execs this binary as its shard workers, so the test
+// brings its own main and dispatches --cluster-worker before gtest sees argv.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "htm/profile.hpp"
+#include "httpsim/bench_server.hpp"
 #include "httpsim/cluster/supervisor.hpp"
+#include "httpsim/cluster/worker.hpp"
+#include "httpsim/server_programs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
@@ -115,5 +125,83 @@ TEST(GoldenDigest, HtmDynamicEngineMatchesRecordedDigests) {
       kHtmDynamic, "HTM-dynamic");
 }
 
+// The Overload.BreakerBrownOutIsByteDeterministicForAFixedSeed run: four
+// in-process shards, eight breaker epochs, faults confined to shard 1.
+TEST(GoldenDigest, BreakerShardedRunMatchesRecordedDigests) {
+  auto cfg = EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
+  cfg.fault.persistent_all_yps = true;
+  cfg.fault.gil_handoff_delay_cycles = 150'000;
+  cfg.fault.seed = 7;
+  httpsim::DriverConfig d;
+  d.arrival = httpsim::Arrival::kPoisson;
+  d.total_requests = 240;
+  d.rps = 2'400'000.0;
+  d.overload.deadline = 2'000'000;
+  d.overload.retry_budget = 1;
+  d.overload.codel = true;
+  httpsim::ShardOptions so;
+  so.shards = 4;
+  so.breaker.enabled = true;
+  so.breaker.epochs = 8;
+  so.breaker.trip_streak = 2;
+  so.breaker.latency_budget = 400'000;
+  so.breaker.fault_shard = 1;
+  const auto r = httpsim::run_sharded(cfg, httpsim::webrick_source(), d, so);
+
+  std::string transitions;
+  for (const auto& t : r.breaker_transitions) {
+    transitions += std::to_string(t.epoch) + " " + std::to_string(t.shard) +
+                   " " + t.state + "\n";
+  }
+  EXPECT_EQ(httpsim::cluster::fnv1a64(r.request_log), 0x32e856c28503ab87ULL)
+      << "merged request log digest moved";
+  EXPECT_EQ(httpsim::cluster::fnv1a64(transitions), 0x6e6ac50a76e80749ULL)
+      << "breaker transition digest moved";
+  EXPECT_EQ(r.spilled, 4u);
+}
+
+// A four-process fleet over a Zipf-skewed key space with stealing and
+// autoscaling on: both boundary policies act, and every decision lands in
+// the record stream.
+TEST(GoldenDigest, StealAutoscaleFleetMatchesRecordedDigests) {
+  httpsim::cluster::ClusterSpec spec;
+  spec.driver.arrival = httpsim::Arrival::kPoisson;
+  spec.driver.rps = 600'000.0;
+  spec.driver.total_requests = 1'600;
+  spec.driver.key_space = 16;
+  spec.driver.zipf = 1.2;
+  spec.options.shards = 4;
+  spec.options.max_shards = 6;
+  spec.options.epochs = 8;
+  spec.options.steal = true;
+  spec.options.steal_margin = 8;
+  spec.options.autoscale = true;
+  spec.options.scale_min = 2;
+  spec.options.scale_up_depth = 24;
+  spec.options.scale_down_depth = 4;
+  spec.options.scale_sustain = 1;
+  spec.options.scale_idle = 1;
+  const auto r = httpsim::cluster::run_cluster(spec);
+  EXPECT_GT(r.stolen, 0u);
+  u32 ups = 0, downs = 0;
+  for (const auto& ev : r.scales) (ev.up ? ups : downs) += 1;
+  EXPECT_GE(ups, 1u);
+  EXPECT_GE(downs, 1u);
+
+  std::string lines;
+  for (const std::string& line : r.record_lines) lines += line + "\n";
+  EXPECT_EQ(httpsim::cluster::fnv1a64(r.request_log), 0xbdeecfe29fb705afULL)
+      << "merged request log digest moved";
+  EXPECT_EQ(httpsim::cluster::fnv1a64(lines), 0x8a94d55ecb0f5d2eULL)
+      << "record stream digest moved";
+}
+
 }  // namespace
 }  // namespace gilfree
+
+int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--cluster-worker") == 0)
+    return gilfree::httpsim::cluster::worker_main();
+  testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

@@ -18,17 +18,10 @@
 
 namespace gilfree::testutil {
 
-/// CliFlags over `args` (argv[0] is synthesized) in throwing mode, so parse
-/// errors surface as std::invalid_argument instead of exit(2).
-inline CliFlags make_flags(std::vector<std::string> args) {
-  static thread_local std::vector<std::string> storage;
-  storage = std::move(args);
-  storage.insert(storage.begin(), "test");
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (auto& a : storage) argv.push_back(a.data());
-  return CliFlags(static_cast<int>(argv.size()), argv.data(),
-                  /*throw_errors=*/true);
+/// CliFlags over `args` in throwing mode, so parse errors surface as
+/// std::invalid_argument instead of exit(2).
+inline CliFlags make_flags(const std::vector<std::string>& args) {
+  return flags_from_strings(args);
 }
 
 /// Asserts that `parse` rejects the single argument `flag` with
