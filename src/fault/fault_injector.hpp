@@ -65,9 +65,18 @@ class FaultInjector {
   /// spurious-arrival clock for this CPU.
   bool begin_fault(CpuId cpu, i32 yp, Cycles now);
 
-  /// Consulted at every transactional access: true when a spurious transient
-  /// abort arrival passed on this CPU (the facility aborts with kConflict).
+  /// Consulted by transactional accesses once next_spurious(cpu) has come:
+  /// true when a spurious transient abort arrival passed on this CPU (the
+  /// facility aborts with kConflict).
   bool spurious_due(CpuId cpu, Cycles now);
+
+  /// First cycle at which spurious_due can return true or resample on this
+  /// CPU (never, without a spurious campaign). Lets the facility skip the
+  /// per-access check until then.
+  Cycles next_spurious(CpuId cpu) const {
+    return config_.spurious_mean_cycles == 0 ? ~Cycles{0}
+                                             : next_spurious_.at(cpu);
+  }
 
   /// Interrupt-arrival mean under the campaign: `base` outside a storm
   /// window, the storm mean inside one. Counts one storm activation per

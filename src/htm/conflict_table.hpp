@@ -1,47 +1,63 @@
-// Global cache-line ownership table used for eager conflict detection among
+// Global cache-line ownership table for eager conflict detection among
 // in-flight transactions, modeling the tx-read/tx-dirty bits zEC12 attaches
-// to L1 lines (§2.2).
-//
-// Up to 64 hardware threads are supported (reader sets are u64 bitmasks);
-// both machines in the paper are far below that.
+// to L1 lines (§2.2). A line is tracked exactly while some CPU holds a mark
+// on it. Marks are u64 CPU bitmasks: up to 64 hardware threads.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
-
 #include "common/types.hpp"
+#include "htm/flat_table.hpp"
 
 namespace gilfree::htm {
 
 class ConflictTable {
  public:
-  /// Marks `cpu` as a transactional reader of `line`. Returns the bitmask of
-  /// *other* CPUs transactionally writing the line (0 or one bit).
-  u64 add_reader(LineId line, CpuId cpu);
+  /// Marks `cpu` as a reader of `line`; returns the other CPUs writing it.
+  u64 add_reader(LineId line, CpuId cpu) {
+    bool inserted;
+    Marks& m = map_.insert(line, Marks{}, inserted).value;
+    m.readers |= bit(cpu);
+    return m.writers & ~bit(cpu);
+  }
 
-  /// Marks `cpu` as a transactional writer of `line`. Returns the bitmask of
-  /// other CPUs that transactionally read or write the line.
-  u64 add_writer(LineId line, CpuId cpu);
+  /// Marks `cpu` as a writer of `line`; returns the other CPUs holding it.
+  u64 add_writer(LineId line, CpuId cpu) {
+    bool inserted;
+    Marks& m = map_.insert(line, Marks{}, inserted).value;
+    const u64 others = (m.readers | m.writers) & ~bit(cpu);
+    m.writers |= bit(cpu);
+    return others;
+  }
 
-  /// Other-CPU transactional readers/writers of `line` that a
-  /// non-transactional store by `cpu` would invalidate.
-  u64 holders_excluding(LineId line, CpuId cpu) const;
+  /// Other CPUs' readers/writers of `line`: a store by `cpu` dooms them.
+  u64 holders_excluding(LineId line, CpuId cpu) const {
+    const auto* e = map_.find(line);
+    return e ? (e->value.readers | e->value.writers) & ~bit(cpu) : 0;
+  }
 
-  /// Other-CPU transactional *writer* of `line` (non-transactional loads only
-  /// conflict with dirty lines).
-  u64 writer_excluding(LineId line, CpuId cpu) const;
+  /// Other CPUs' writers of `line`: a load by `cpu` dooms them.
+  u64 writer_excluding(LineId line, CpuId cpu) const {
+    const auto* e = map_.find(line);
+    return e ? e->value.writers & ~bit(cpu) : 0;
+  }
 
   /// Removes every mark `cpu` holds on `line` (called during detach).
-  void remove(LineId line, CpuId cpu);
+  void remove(LineId line, CpuId cpu) {
+    auto* e = map_.find(line);
+    if (e == nullptr) return;
+    e->value.readers &= ~bit(cpu);
+    e->value.writers &= ~bit(cpu);
+    if ((e->value.readers | e->value.writers) == 0) map_.erase(line);
+  }
 
   std::size_t tracked_lines() const { return map_.size(); }
 
  private:
-  struct LineState {
-    u64 readers = 0;   ///< Bitmask of transactional readers.
-    u64 writers = 0;   ///< Bitmask of transactional writers (buffered).
+  struct Marks {
+    u64 readers = 0;  ///< Bitmask of transactional readers.
+    u64 writers = 0;  ///< Bitmask of transactional writers (buffered).
   };
-  std::unordered_map<LineId, LineState> map_;
+  static constexpr u64 bit(CpuId cpu) { return u64{1} << cpu; }
+  FlatTable<Marks> map_;
 };
 
 }  // namespace gilfree::htm

@@ -6,17 +6,13 @@
 
 namespace gilfree::htm {
 
-void HtmStats::merge(const HtmStats& o) {
-  begins += o.begins;
-  commits += o.commits;
-  eager_aborts += o.eager_aborts;
-  for (std::size_t i = 0; i < aborts_by_reason.size(); ++i)
-    aborts_by_reason[i] += o.aborts_by_reason[i];
-}
-
 HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine)
-    : config_(config), machine_(machine) {
+    : config_(config),
+      line_shift_(static_cast<u32>(__builtin_ctzll(config.line_bytes))),
+      machine_(machine) {
   GILFREE_CHECK(machine_ != nullptr);
+  GILFREE_CHECK_MSG(u64{1} << line_shift_ == config_.line_bytes,
+                    "line size must be a power of two");
   GILFREE_CHECK_MSG(machine_->num_cpus() <= 64,
                     "conflict table reader masks are 64-bit");
   GILFREE_CHECK(config_.line_bytes == machine_->config().line_bytes);
@@ -24,17 +20,15 @@ HtmFacility::HtmFacility(const HtmConfig& config, sim::Machine* machine)
   stats_.resize(machine_->num_cpus());
   last_conflict_line_.assign(machine_->num_cpus(), kInvalidLine);
   seed_rngs();
-  if (config_.learning) {
+  if (config_.learning)
     learning_.emplace(machine_->num_cpus(), config_.learning_up,
                       config_.learning_decay_txns, learning_seed_);
-  }
 }
 
 void HtmFacility::seed_rngs() {
   rng_.clear();
-  // Shard 0 must reproduce the unsharded stream bit-for-bit, so the shard id
-  // only perturbs the seed when nonzero. reset() calls back into here, which
-  // keeps the (seed, shard_id) derivation across facility resets.
+  // The shard id perturbs the seed only when nonzero, so shard 0 reproduces
+  // the unsharded stream; reset() re-derives from the same pair.
   u64 seed = config_.seed;
   if (config_.shard_id != 0)
     seed = mix64(seed ^ (0x9e3779b97f4a7c15ULL * config_.shard_id));
@@ -46,33 +40,25 @@ void HtmFacility::seed_rngs() {
 AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp) {
   TxState& t = tx_.at(cpu);
   GILFREE_CHECK_MSG(!t.active, "nested transactions are not supported");
-  ++stats_.at(cpu).begins;
-
-  if (learning_ && learning_->eager_abort(cpu)) {
-    // The core refuses to speculate: reported as a capacity abort, just like
-    // the real hardware reports it without the retry hint.
-    ++stats_.at(cpu).eager_aborts;
-    ++stats_.at(cpu).aborts_by_reason[static_cast<int>(
-        AbortReason::kOverflowWrite)];
-    learning_->on_non_overflow(cpu);  // no *new* overflow evidence
+  HtmStats& stats = stats_.at(cpu);
+  ++stats.begins;
+  // The core refuses to speculate (learning model), or an injected
+  // persistent fault pinned to this yield point refuses the transaction:
+  // a capacity code without the retry hint, and no new overflow evidence.
+  const bool eager = learning_ && learning_->eager_abort(cpu);
+  if (eager ||
+      (injector_ && injector_->begin_fault(cpu, yp, machine_->clock(cpu)))) {
+    if (eager) {
+      ++stats.eager_aborts;
+      learning_->on_non_overflow(cpu);
+    }
+    ++stats.aborts_by_reason[static_cast<int>(AbortReason::kOverflowWrite)];
     return AbortReason::kOverflowWrite;
   }
-
-  if (injector_ && injector_->begin_fault(cpu, yp, machine_->clock(cpu))) {
-    // Injected persistent fault pinned to this yield point: refuse the
-    // transaction with a capacity code (persistent, like the real ISAs
-    // report unretryable conditions). Not overflow evidence for the
-    // learning model — the footprint never existed.
-    ++stats_.at(cpu).aborts_by_reason[static_cast<int>(
-        AbortReason::kOverflowWrite)];
-    return AbortReason::kOverflowWrite;
-  }
-
   t.active = true;
-  t.detached = false;
   t.doom = AbortReason::kNone;
-  t.read_lines.clear();
-  t.write_lines.clear();
+  t.lines.clear();
+  t.read_count = t.write_count = 0;
   t.redo.clear();
   last_conflict_line_.at(cpu) = kInvalidLine;
 
@@ -83,25 +69,47 @@ AbortReason HtmFacility::tx_begin(CpuId cpu, i32 yp) {
     t.next_interrupt = now + static_cast<Cycles>(rng_.at(cpu).next_exponential(
                                  static_cast<double>(mean)));
   }
+  arm_deadline(t, cpu);
   return AbortReason::kNone;
+}
+
+inline HtmFacility::TxState& HtmFacility::enter(CpuId cpu) {
+  TxState& t = tx_[cpu];
+  GILFREE_CHECK(t.active);
+  if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
+  if (machine_->clock(cpu) >= t.deadline) deadline_due(cpu);
+  return t;
+}
+
+void HtmFacility::deadline_due(CpuId cpu) {
+  TxState& t = tx_[cpu];
+  const Cycles now = machine_->clock(cpu);
+  if (now >= t.next_interrupt) {
+    t.next_interrupt = 0;  // resampled at next tx_begin
+    abort_self(cpu, AbortReason::kInterrupt);
+  }
+  // Spurious faults abort like transient conflicts; an arrival outside the
+  // spurious window only resamples the clock.
+  if (injector_ && injector_->spurious_due(cpu, now))
+    abort_self(cpu, AbortReason::kConflict);
+  arm_deadline(t, cpu);
 }
 
 AbortReason HtmFacility::tx_commit(CpuId cpu) {
   TxState& t = tx_.at(cpu);
   GILFREE_CHECK(t.active);
-  if (t.doom != AbortReason::kNone) {
-    const AbortReason reason = t.doom;
+  if (const AbortReason reason = t.doom; reason != AbortReason::kNone) {
     rollback(cpu, reason);
     return reason;
   }
-  // Commit: drain the store buffer to memory in one atomic step.
-  for (const auto& [addr, value] : t.redo) {
-    *const_cast<u64*>(addr) = value;
-    if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
+  // Drain the store buffer to memory in one atomic step, in first-store
+  // order.
+  for (const auto& e : t.redo) {
+    *reinterpret_cast<u64*>(e.key) = e.value.value;
+    if (write_listener_) write_listener_->on_nontx_write(e.value.line);
   }
   detach(cpu);
   t.active = false;
-  t.redo.clear();
   ++stats_.at(cpu).commits;
   if (learning_) learning_->on_non_overflow(cpu);
   return AbortReason::kNone;
@@ -118,123 +126,93 @@ void HtmFacility::force_abort(CpuId cpu, AbortReason reason) {
 }
 
 void HtmFacility::doom_all(CpuId except, AbortReason reason) {
-  for (CpuId c = 0; c < tx_.size(); ++c) {
-    if (c == except) continue;
-    TxState& t = tx_[c];
-    if (t.active && t.doom == AbortReason::kNone) {
-      t.doom = reason;
-      detach(c);
-    }
-  }
+  // Victims' conflict lines stay unset: reset at TBEGIN, set only by a doom.
+  u64 all = tx_.size() == 64 ? ~u64{0} : (u64{1} << tx_.size()) - 1;
+  if (except < tx_.size()) all &= ~(u64{1} << except);
+  doom_mask(all, reason, kInvalidLine);
 }
 
-u64 HtmFacility::tx_load(CpuId cpu, const u64* addr, bool shared) {
-  TxState& t = tx_.at(cpu);
-  GILFREE_CHECK(t.active);
-  if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-  maybe_interrupt(cpu);
-  maybe_spurious(cpu);
-
+u64 HtmFacility::tx_load(CpuId cpu, const u64* addr, bool shared,
+                         LineId line) {
+  TxState& t = enter(cpu);
+  if (line == kInvalidLine) line = line_of(addr);
+  bool fresh;
+  u8& marks = t.lines.insert(line, 0, fresh).value;
   // Read own speculative writes.
-  if (auto it = t.redo.find(addr); it != t.redo.end()) return it->second;
-
-  const LineId line = line_of(addr);
-  if (t.read_lines.insert(line).second) {
-    if (t.read_lines.size() > faulted_limit(cpu, effective_max_read(cpu))) {
-      if (injector_ && t.read_lines.size() <= effective_max_read(cpu))
-        injector_->capacity_clip(cpu, machine_->clock(cpu));
-      if (learning_) learning_->on_overflow(cpu);
-      abort_self(cpu, AbortReason::kOverflowRead);
-    }
-    if (shared) {
-      // Requester wins: a transactional writer elsewhere is invalidated.
-      const u64 victims = table_.add_reader(line, cpu);
-      if (victims) {
-        if (collect_conflicts_) ++conflict_lines_[line];
-        doom_mask(victims, AbortReason::kConflict, line);
-      }
-    }
+  if (marks & kWritten) {
+    if (const auto* e = t.redo.find(reinterpret_cast<u64>(addr)))
+      return e->value.value;
+  }
+  if (!(marks & kRead)) {
+    marks |= kRead;
+    check_capacity(cpu, ++t.read_count, effective_max_read(cpu),
+                   AbortReason::kOverflowRead);
+    // Requester wins: a transactional writer elsewhere is invalidated.
+    if (shared) conflict(table_.add_reader(line, cpu), line);
   }
   return *addr;
 }
 
-void HtmFacility::tx_store(CpuId cpu, u64* addr, u64 value, bool shared) {
-  TxState& t = tx_.at(cpu);
-  GILFREE_CHECK(t.active);
-  if (t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-  maybe_interrupt(cpu);
-  maybe_spurious(cpu);
-
-  const LineId line = line_of(addr);
-  if (t.write_lines.insert(line).second) {
-    if (t.write_lines.size() > faulted_limit(cpu, effective_max_write(cpu))) {
-      if (injector_ && t.write_lines.size() <= effective_max_write(cpu))
-        injector_->capacity_clip(cpu, machine_->clock(cpu));
-      if (learning_) learning_->on_overflow(cpu);
-      abort_self(cpu, AbortReason::kOverflowWrite);
-    }
-    if (shared) {
-      const u64 victims = table_.add_writer(line, cpu);
-      if (victims) {
-        if (collect_conflicts_) ++conflict_lines_[line];
-        doom_mask(victims, AbortReason::kConflict, line);
-      }
-    }
+void HtmFacility::tx_store(CpuId cpu, u64* addr, u64 value, bool shared,
+                           LineId line) {
+  TxState& t = enter(cpu);
+  if (line == kInvalidLine) line = line_of(addr);
+  bool fresh;
+  u8& marks = t.lines.insert(line, 0, fresh).value;
+  if (!(marks & kWritten)) {
+    marks |= kWritten;
+    check_capacity(cpu, ++t.write_count, effective_max_write(cpu),
+                   AbortReason::kOverflowWrite);
+    if (shared) conflict(table_.add_writer(line, cpu), line);
   }
-  t.redo[addr] = value;
+  t.redo.insert(reinterpret_cast<u64>(addr), Buffered{}, fresh).value =
+      Buffered{value, line};
 }
 
-u64 HtmFacility::nontx_load(CpuId cpu, const u64* addr) {
-  GILFREE_CHECK(!tx_.at(cpu).active);
-  const LineId line = line_of(addr);
-  const u64 writers = table_.writer_excluding(line, cpu);
-  if (writers) {
-    if (collect_conflicts_) ++conflict_lines_[line];
-    doom_mask(writers, AbortReason::kConflict, line);
+void HtmFacility::check_capacity(CpuId cpu, u32 lines, u32 max,
+                                 AbortReason reason) {
+  u32 limit = max;  // after any injected capacity reduction (never below 1)
+  if (injector_) {
+    const double f = injector_->capacity_factor(machine_->clock(cpu));
+    if (f < 1.0) limit = std::max<u32>(1, static_cast<u32>(max * f));
   }
+  if (lines <= limit) return;
+  // A footprint the full capacity would have held: the clip caused it.
+  if (lines <= max) injector_->capacity_clip(cpu, machine_->clock(cpu));
+  if (learning_) learning_->on_overflow(cpu);
+  abort_self(cpu, reason);
+}
+
+void HtmFacility::conflict(u64 victims, LineId line) {
+  if (victims == 0) return;
+  if (collect_conflicts_) ++conflict_lines_[line];
+  doom_mask(victims, AbortReason::kConflict, line);
+}
+
+u64 HtmFacility::nontx_load(CpuId cpu, const u64* addr, LineId line) {
+  GILFREE_CHECK(!tx_.at(cpu).active);
+  if (line == kInvalidLine) line = line_of(addr);
+  conflict(table_.writer_excluding(line, cpu), line);
   return *addr;
 }
 
-void HtmFacility::nontx_store(CpuId cpu, u64* addr, u64 value) {
+void HtmFacility::nontx_store(CpuId cpu, u64* addr, u64 value, LineId line) {
   GILFREE_CHECK(!tx_.at(cpu).active);
-  const LineId line = line_of(addr);
-  const u64 holders = table_.holders_excluding(line, cpu);
-  if (holders) {
-    if (collect_conflicts_) ++conflict_lines_[line];
-    doom_mask(holders, AbortReason::kConflict, line);
-  }
+  if (line == kInvalidLine) line = line_of(addr);
+  conflict(table_.holders_excluding(line, cpu), line);
   *addr = value;
-  if (write_listener_ != nullptr) write_listener_->on_nontx_write(addr);
-}
-
-void HtmFacility::check_doom(CpuId cpu) {
-  TxState& t = tx_.at(cpu);
-  if (t.active && t.doom != AbortReason::kNone) abort_self(cpu, t.doom);
-}
-
-u32 HtmFacility::read_line_count(CpuId cpu) const {
-  return static_cast<u32>(tx_.at(cpu).read_lines.size());
-}
-
-u32 HtmFacility::write_line_count(CpuId cpu) const {
-  return static_cast<u32>(tx_.at(cpu).write_lines.size());
-}
-
-u32 HtmFacility::effective_max_read(CpuId cpu) const {
-  u32 max = config_.max_read_lines;
-  if (config_.smt_shares_capacity && machine_->smt_contended(cpu)) max /= 2;
-  return max;
-}
-
-u32 HtmFacility::effective_max_write(CpuId cpu) const {
-  u32 max = config_.max_write_lines;
-  if (config_.smt_shares_capacity && machine_->smt_contended(cpu)) max /= 2;
-  return max;
+  if (write_listener_ != nullptr) write_listener_->on_nontx_write(line);
 }
 
 HtmStats HtmFacility::total_stats() const {
   HtmStats total;
-  for (const HtmStats& s : stats_) total.merge(s);
+  for (const HtmStats& s : stats_) {
+    total.begins += s.begins;
+    total.commits += s.commits;
+    total.eager_aborts += s.eager_aborts;
+    for (std::size_t i = 0; i < kNumAbortReasons; ++i)
+      total.aborts_by_reason[i] += s.aborts_by_reason[i];
+  }
   return total;
 }
 
@@ -246,54 +224,26 @@ void HtmFacility::doom_mask(u64 mask, AbortReason reason, LineId line) {
     if (!t.active || t.doom != AbortReason::kNone) continue;
     t.doom = reason;
     last_conflict_line_.at(victim) = line;
-    // Detach immediately: the coherency request has invalidated the victim's
-    // speculative lines, so they no longer participate in detection. The
-    // victim notices the doom at its next access / commit.
+    // The coherency request invalidated the victim's speculative lines:
+    // they leave detection now; the victim notices at its next access.
     detach(victim);
   }
 }
 
 void HtmFacility::detach(CpuId cpu) {
-  TxState& t = tx_.at(cpu);
-  if (t.detached) return;
-  for (LineId line : t.read_lines) table_.remove(line, cpu);
-  for (LineId line : t.write_lines) table_.remove(line, cpu);
-  t.detached = true;
+  for (const auto& e : tx_.at(cpu).lines) table_.remove(e.key, cpu);
 }
 
 void HtmFacility::rollback(CpuId cpu, AbortReason reason) {
   TxState& t = tx_.at(cpu);
-  detach(cpu);
+  if (t.doom == AbortReason::kNone) detach(cpu);  // a doom detached already
   t.active = false;
   t.doom = AbortReason::kNone;
-  t.redo.clear();
   ++stats_.at(cpu).aborts_by_reason[static_cast<int>(reason)];
   if (learning_ && reason != AbortReason::kOverflowRead &&
       reason != AbortReason::kOverflowWrite) {
     learning_->on_non_overflow(cpu);
   }
-}
-
-void HtmFacility::maybe_interrupt(CpuId cpu) {
-  TxState& t = tx_.at(cpu);
-  if (machine_->clock(cpu) >= t.next_interrupt) {
-    t.next_interrupt = 0;  // resampled at next tx_begin
-    abort_self(cpu, AbortReason::kInterrupt);
-  }
-}
-
-void HtmFacility::maybe_spurious(CpuId cpu) {
-  // Injected spurious aborts look like transient conflicts to the software:
-  // retryable, no footprint evidence.
-  if (injector_ && injector_->spurious_due(cpu, machine_->clock(cpu)))
-    abort_self(cpu, AbortReason::kConflict);
-}
-
-u32 HtmFacility::faulted_limit(CpuId cpu, u32 max) const {
-  if (!injector_) return max;
-  const double f = injector_->capacity_factor(machine_->clock(cpu));
-  if (f >= 1.0) return max;
-  return std::max<u32>(1, static_cast<u32>(static_cast<double>(max) * f));
 }
 
 void HtmFacility::abort_self(CpuId cpu, AbortReason reason) {

@@ -14,24 +14,25 @@
 //     spanning them, and
 //   * optionally (Xeon profile) the TSX "learning" eager-abort behaviour.
 //
-// Memory is modeled as the host process's own memory in 8-byte slots; every
-// value the MiniRuby VM stores is one slot. Transactional accessors throw
-// TxAbort when the running transaction dies mid-bytecode; the engine unwinds
-// to its TBEGIN snapshot.
+// Memory is the host process's own memory in 8-byte slots, one per VM
+// value. Footprints, redo logs and the conflict table are flat tables keyed
+// on lines (docs/ARCHITECTURE.md § HTM line sets). Transactional accessors
+// throw TxAbort when the running transaction dies mid-bytecode; the engine
+// unwinds to its TBEGIN snapshot.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fault/fault_injector.hpp"
 #include "htm/abort_reason.hpp"
-#include "htm/htm_config.hpp"
 #include "htm/conflict_table.hpp"
+#include "htm/htm_config.hpp"
 #include "htm/tsx_learning.hpp"
 #include "sim/guest_space.hpp"
 #include "sim/machine.hpp"
@@ -51,88 +52,74 @@ struct HtmStats {
     for (u64 a : aborts_by_reason) t += a;
     return t;
   }
-  void merge(const HtmStats& o);
 };
 
-/// Observes every write that reaches simulated memory outside transactional
-/// speculation: non-transactional stores and the redo-log drain of a
-/// committing hardware transaction. The tier-2 software-transaction engine
-/// registers here so commit-time validation can detect writes it did not
-/// perform itself (docs/TIERS.md).
+/// Told the line of every write that reaches memory outside speculation
+/// (non-transactional stores, commit drains); the STM tier listens so its
+/// validation sees writes it did not make (docs/TIERS.md).
 class MemWriteListener {
  public:
   virtual ~MemWriteListener() = default;
-  virtual void on_nontx_write(const u64* addr) = 0;
+  virtual void on_nontx_write(LineId line) = 0;
 };
 
 class HtmFacility {
  public:
   HtmFacility(const HtmConfig& config, sim::Machine* machine);
 
-  const HtmConfig& config() const { return config_; }
-
-  /// TBEGIN/XBEGIN. Returns kNone when the CPU entered transactional
-  /// execution; otherwise the transaction aborted immediately (learning
-  /// model or an injected begin-time fault) and the caller sees the abort
-  /// reason, exactly like the fallback path of XBEGIN. `yp` is the yield
-  /// point the TLE layer starts this transaction at (-1 = thread entry /
-  /// unknown); it only targets fault-injection campaigns — the hardware
-  /// model itself ignores it.
+  /// TBEGIN/XBEGIN: kNone once the CPU speculates, otherwise the reason it
+  /// aborted at once (learning model, injected begin-time fault), like
+  /// XBEGIN's fallback path. `yp` (TLE yield point, -1 = thread entry) only
+  /// targets fault-injection campaigns.
   AbortReason tx_begin(CpuId cpu, i32 yp = -1);
 
-  /// TEND/XEND. On success applies the redo log to memory and returns kNone;
-  /// if the transaction was doomed in the meantime, rolls back and returns
-  /// the reason.
+  /// TEND/XEND: applies the redo log and returns kNone, or rolls back a
+  /// transaction doomed meanwhile and returns why.
   AbortReason tx_commit(CpuId cpu);
 
   /// TABORT/XABORT: software-initiated abort. Rolls back; does not throw.
   void tx_abort(CpuId cpu, AbortReason reason);
 
-  /// Hardware-initiated abort of whatever transaction is resident on `cpu`
-  /// (context switch, interrupt delivery). No-op when none is active. The
-  /// owning software thread discovers the abort when it resumes.
+  /// Hardware-initiated abort of the transaction resident on `cpu`, if any
+  /// (context switch, interrupt); its thread finds out when it resumes.
   void force_abort(CpuId cpu, AbortReason reason);
 
-  /// Dooms every in-flight transaction except `except` (pass kInvalidCpu for
-  /// none). Used before stop-the-world phases (GC) that are not already
-  /// serialized by a GIL acquisition.
+  /// Dooms every in-flight transaction except `except` (kInvalidCpu: none),
+  /// before stop-the-world phases no GIL acquisition serializes (GC).
   void doom_all(CpuId except, AbortReason reason);
 
   bool in_tx(CpuId cpu) const { return tx_.at(cpu).active; }
   AbortReason doom(CpuId cpu) const { return tx_.at(cpu).doom; }
 
-  /// Transactional 8-byte load. `shared` marks lines other threads can touch;
-  /// private lines (interpreter stacks) still consume footprint but skip
-  /// conflict tracking. Throws TxAbort on capacity overflow, interrupt, or a
-  /// previously delivered doom.
-  u64 tx_load(CpuId cpu, const u64* addr, bool shared);
+  /// Transactional 8-byte load. Private (non-`shared`) lines such as stacks
+  /// count in the footprint but skip conflict tracking. Throws TxAbort on
+  /// overflow, interrupt or a delivered doom. Every accessor takes `line` =
+  /// line_of(addr) from callers that translated already (one translation
+  /// per access, for every tier); kInvalidLine translates here.
+  u64 tx_load(CpuId cpu, const u64* addr, bool shared,
+              LineId line = kInvalidLine);
 
-  /// Transactional 8-byte store into the redo log. Throws TxAbort like
-  /// tx_load.
-  void tx_store(CpuId cpu, u64* addr, u64 value, bool shared);
+  /// Transactional 8-byte store into the redo log. Throws like tx_load.
+  void tx_store(CpuId cpu, u64* addr, u64 value, bool shared,
+                LineId line = kInvalidLine);
 
-  /// Non-transactional accessors used while holding the GIL (or before any
-  /// transaction exists). They doom conflicting transactions, which is how
-  /// writing GIL.acquired aborts every speculating thread (Fig. 1 line 15
-  /// relies on the GIL word being in every read set).
-  u64 nontx_load(CpuId cpu, const u64* addr);
-  void nontx_store(CpuId cpu, u64* addr, u64 value);
-
-  /// Cheap doom check between bytecodes; throws TxAbort if this CPU's
-  /// transaction was killed asynchronously.
-  void check_doom(CpuId cpu);
-
-  /// Current footprint, for tests and the Fig. 6a probe.
-  u32 read_line_count(CpuId cpu) const;
-  u32 write_line_count(CpuId cpu) const;
+  /// Non-transactional accessors (GIL held, or no transaction yet). They
+  /// doom conflicting transactions: writing GIL.acquired aborts every
+  /// speculating thread, whose read sets all hold the GIL word (Fig. 1).
+  u64 nontx_load(CpuId cpu, const u64* addr, LineId line = kInvalidLine);
+  void nontx_store(CpuId cpu, u64* addr, u64 value,
+                   LineId line = kInvalidLine);
 
   /// Capacity after SMT halving (§5.4: SMT siblings share the caches).
-  u32 effective_max_read(CpuId cpu) const;
-  u32 effective_max_write(CpuId cpu) const;
+  u32 effective_max_read(CpuId cpu) const {
+    return smt_share(cpu, config_.max_read_lines);
+  }
+  u32 effective_max_write(CpuId cpu) const {
+    return smt_share(cpu, config_.max_write_lines);
+  }
 
   const HtmStats& stats(CpuId cpu) const { return stats_.at(cpu); }
   HtmStats total_stats() const;
-  TsxLearningModel* learning() { return learning_ ? &*learning_ : nullptr; }
 
   /// Conflict-line histogram (diagnostics; enabled by set_collect_conflicts).
   void set_collect_conflicts(bool on) { collect_conflicts_ = on; }
@@ -140,68 +127,85 @@ class HtmFacility {
     return conflict_lines_;
   }
 
-  /// With a guest space attached, lines are guest-relative (stable across
-  /// OS processes); otherwise they derive from the host address as before.
+  /// Guest-relative with a guest space attached (stable across OS
+  /// processes), host-derived otherwise.
   LineId line_of(const void* addr) const {
-    if (guest_ != nullptr) return guest_->line_of(addr, config_.line_bytes);
-    return reinterpret_cast<std::uintptr_t>(addr) / config_.line_bytes;
+    if (guest_ == nullptr)
+      return reinterpret_cast<std::uintptr_t>(addr) >> line_shift_;
+    const sim::GuestAddr g = guest_->translate(addr);
+    if (g != sim::kInvalidGuestAddr) return g >> line_shift_;
+    return guest_->unregistered_line(addr, config_.line_bytes);
   }
 
-  /// Attaches the guest address space (not owned; null reverts to host
-  /// addressing). Must be set before any transactional activity — switching
-  /// line spaces mid-run would orphan conflict-table entries.
+  /// Attaches the guest address space (not owned; null = host addressing)
+  /// before any transaction: a mid-run switch orphans conflict marks.
   void set_guest_space(const sim::GuestSpace* guest) { guest_ = guest; }
-  const sim::GuestSpace* guest_space() const { return guest_; }
 
-  /// The line whose coherency request doomed this CPU's last conflict abort
-  /// (kInvalidLine for spurious/injected conflicts, which have no line).
-  /// Valid until the CPU's next tx_begin.
+  /// The line that doomed this CPU's last conflict abort until its next
+  /// tx_begin (kInvalidLine for spurious/injected conflicts).
   LineId last_conflict_line(CpuId cpu) const {
     return last_conflict_line_.at(cpu);
   }
 
-  /// Attaches a memory-write listener (not owned; null detaches). Called
-  /// for every nontx_store and for every redo-log entry a commit publishes.
+  /// Attaches a listener (not owned; null detaches), called for every
+  /// nontx_store and, in first-store order, every redo entry a commit drains.
   void set_write_listener(MemWriteListener* listener) {
     write_listener_ = listener;
   }
 
-  /// Attaches a fault-injection campaign (not owned; null detaches). The
-  /// facility consults it at TBEGIN, at every transactional access, and
-  /// when sampling interrupt arrivals.
+  /// Attaches a fault-injection campaign (not owned; null detaches).
   void set_fault_injector(fault::FaultInjector* injector) {
     injector_ = injector;
   }
-  fault::FaultInjector* fault_injector() { return injector_; }
 
-  /// Clears all transactional state, statistics, and diagnostics (including
-  /// the conflict-line histogram and the TSX learning model), and re-derives
-  /// the per-CPU RNG streams from the configured seed, so back-to-back runs
-  /// in one process are independent and identically distributed.
+  /// Clears all state, statistics and diagnostics and re-derives the RNG
+  /// streams, so back-to-back runs in one process are identical.
   void reset();
 
  private:
+  static constexpr u8 kRead = 1, kWritten = 2;
+  struct Buffered {
+    u64 value;
+    LineId line;
+  };
   struct TxState {
     bool active = false;
-    bool detached = false;  ///< Lines already removed from conflict table.
-    AbortReason doom = AbortReason::kNone;
-    std::unordered_set<LineId> read_lines;
-    std::unordered_set<LineId> write_lines;
-    std::unordered_map<const u64*, u64> redo;
+    AbortReason doom = AbortReason::kNone;  ///< Set = lines detached.
+    FlatTable<u8> lines;  ///< Footprint: line -> kRead | kWritten.
+    u32 read_count = 0;   ///< Lines marked kRead.
+    u32 write_count = 0;  ///< Lines marked kWritten.
+    FlatTable<Buffered> redo;  ///< Keyed by slot host address.
     Cycles next_interrupt = 0;
+    Cycles deadline = 0;  ///< min(next_interrupt, next spurious arrival).
   };
 
+  /// Entry checks of every transactional access: a delivered doom, then the
+  /// interrupt and spurious-fault clocks behind one deadline compare.
+  TxState& enter(CpuId cpu);
+  void deadline_due(CpuId cpu);
+  void arm_deadline(TxState& t, CpuId cpu) {
+    t.deadline = injector_ ? std::min(t.next_interrupt,
+                                      injector_->next_spurious(cpu))
+                           : t.next_interrupt;
+  }
+  u32 smt_share(CpuId cpu, u32 max) const {
+    const bool halved =
+        config_.smt_shares_capacity && machine_->smt_contended(cpu);
+    return halved ? max / 2 : max;
+  }
+  /// Aborts with `reason` once a footprint of `lines` exceeds the (possibly
+  /// fault-clipped) capacity `max`.
+  void check_capacity(CpuId cpu, u32 lines, u32 max, AbortReason reason);
+  /// Dooms `victims` (if any) for a conflict on `line`.
+  void conflict(u64 victims, LineId line);
   void doom_mask(u64 mask, AbortReason reason, LineId line);
   void detach(CpuId cpu);
   void rollback(CpuId cpu, AbortReason reason);
-  void maybe_interrupt(CpuId cpu);
-  void maybe_spurious(CpuId cpu);
   void seed_rngs();
-  /// Footprint limit after any injected capacity reduction (never below 1).
-  u32 faulted_limit(CpuId cpu, u32 max) const;
   [[noreturn]] void abort_self(CpuId cpu, AbortReason reason);
 
   HtmConfig config_;
+  u32 line_shift_;  ///< log2(line_bytes).
   sim::Machine* machine_;
   ConflictTable table_;
   std::vector<TxState> tx_;

@@ -1149,8 +1149,7 @@ void Engine::stm_yield(SchedThread& st, i32 yp) {
       const u32 tid = st.vm->tid();
       charge_bucket(st, Bucket::kStmWork,
                     config_.stm.validate_per_entry *
-                        (stm_->read_marker_count(tid) +
-                         stm_->write_marker_count(tid)));
+                        stm_->marker_count(tid));
       if (!stm_->validate(tid)) {
         handle_stm_abort(st, stm_->last_cause(tid));
       }
@@ -1174,9 +1173,7 @@ void Engine::stm_end(SchedThread& st) {
   const u32 tid = st.vm->tid();
   charge_bucket(st, Bucket::kBeginEnd,
                 config_.stm.commit_base_cost +
-                    config_.stm.validate_per_entry *
-                        (stm_->read_marker_count(tid) +
-                         stm_->write_marker_count(tid)) +
+                    config_.stm.validate_per_entry * stm_->marker_count(tid) +
                     config_.stm.publish_per_entry *
                         stm_->write_entry_count(tid));
   const stm::StmAbortCause outcome = stm_->commit(tid, st.cpu);
@@ -1450,35 +1447,37 @@ void Engine::charge(Cycles c) {
   }
 }
 
+// One guest translation per access: the HTM footprint and the conflict
+// table key on the line resolved here. The STM resolves it itself, only for
+// shared accesses (a private one is buffered by address alone), and passes
+// it on to the hardware's non-transactional path and its commit order.
 u64 Engine::mem_load(const u64* p, bool shared) {
   charge(config_.profile.machine.cost.mem_access);
+  if (!htm_) return *p;
   SchedThread& st = cur();
-  if (htm_ && st.in_tx) return htm_->tx_load(st.cpu, p, shared);
+  if (st.in_tx) return htm_->tx_load(st.cpu, p, shared, htm_->line_of(p));
   if (stm_ && st.in_stm) {
     charge(config_.stm.read_overhead);
     return stm_->load(st.vm->tid(), st.cpu, p, shared);
   }
-  if (htm_) return htm_->nontx_load(st.cpu, p);
-  return *p;
+  return htm_->nontx_load(st.cpu, p, htm_->line_of(p));
 }
 
 void Engine::mem_store(u64* p, u64 v, bool shared) {
   charge(config_.profile.machine.cost.mem_access);
-  SchedThread& st = cur();
-  if (htm_ && st.in_tx) {
-    htm_->tx_store(st.cpu, p, v, shared);
+  if (!htm_) {
+    *p = v;
     return;
   }
-  if (stm_ && st.in_stm) {
+  SchedThread& st = cur();
+  if (st.in_tx) {
+    htm_->tx_store(st.cpu, p, v, shared, htm_->line_of(p));
+  } else if (stm_ && st.in_stm) {
     charge(config_.stm.write_overhead);
     stm_->store(st.vm->tid(), st.cpu, p, v, shared);
-    return;
+  } else {
+    htm_->nontx_store(st.cpu, p, v, htm_->line_of(p));
   }
-  if (htm_) {
-    htm_->nontx_store(st.cpu, p, v);
-    return;
-  }
-  *p = v;
 }
 
 void Engine::require_nontx(const char* why) {

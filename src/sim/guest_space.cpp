@@ -50,15 +50,8 @@ u32 GuestSpace::add_segment(std::string name, const void* base, u64 bytes) {
   return index;
 }
 
-GuestAddr GuestSpace::translate(const void* host) const {
-  const auto* p = static_cast<const std::byte*>(host);
-  if (!segments_.empty()) {
-    const Segment& hot = segments_[mru_];
-    if (p >= hot.base && p < hot.base + hot.bytes) {
-      return (static_cast<GuestAddr>(hot.index + 1) << kSegmentShift) |
-             static_cast<u64>(p - hot.base);
-    }
-  }
+GuestAddr GuestSpace::translate_slow(std::uintptr_t a) const {
+  const auto* p = reinterpret_cast<const std::byte*>(a);
   // First segment whose base is > p, then step back one.
   const auto pos = std::upper_bound(
       by_base_.begin(), by_base_.end(), p,
@@ -66,9 +59,10 @@ GuestAddr GuestSpace::translate(const void* host) const {
   if (pos == by_base_.begin()) return kInvalidGuestAddr;
   const Segment& s = segments_[*(pos - 1)];
   if (p >= s.base + s.bytes) return kInvalidGuestAddr;
-  mru_ = s.index;
-  return (static_cast<GuestAddr>(s.index + 1) << kSegmentShift) |
-         static_cast<u64>(p - s.base);
+  const GuestAddr guest = static_cast<GuestAddr>(s.index + 1) << kSegmentShift;
+  cache_[(a >> kGranuleShift) & (kCacheSize - 1)] =
+      CacheEntry{reinterpret_cast<std::uintptr_t>(s.base), s.bytes, guest};
+  return guest | static_cast<u64>(p - s.base);
 }
 
 const void* GuestSpace::to_host(GuestAddr guest) const {
@@ -77,12 +71,9 @@ const void* GuestSpace::to_host(GuestAddr guest) const {
   return s->base + (guest & ((1ull << kSegmentShift) - 1));
 }
 
-LineId GuestSpace::line_of(const void* host, u64 line_bytes) const {
-  const GuestAddr guest = translate(host);
-  if (guest != kInvalidGuestAddr) return guest / line_bytes;
+LineId GuestSpace::unregistered_line(const void* host, u64 line_bytes) const {
   ++unregistered_;
-  return kHostLineTag +
-         reinterpret_cast<std::uintptr_t>(host) / line_bytes;
+  return kHostLineTag + reinterpret_cast<std::uintptr_t>(host) / line_bytes;
 }
 
 const GuestSpace::Segment* GuestSpace::segment_of(GuestAddr guest) const {

@@ -26,6 +26,7 @@
 // nondeterministic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,7 +63,14 @@ class GuestSpace {
   u32 add_segment(std::string name, const void* base, u64 bytes);
 
   /// Host pointer -> guest address; kInvalidGuestAddr when unregistered.
-  GuestAddr translate(const void* host) const;
+  /// A hit in the translation cache costs one compare; a miss searches the
+  /// segments and fills the granule's entry.
+  GuestAddr translate(const void* host) const {
+    const auto a = reinterpret_cast<std::uintptr_t>(host);
+    const CacheEntry& h = cache_[(a >> kGranuleShift) & (kCacheSize - 1)];
+    if (a - h.base < h.bytes) return h.guest + (a - h.base);
+    return translate_slow(a);
+  }
 
   /// Guest address -> host pointer; nullptr when out of range.
   const void* to_host(GuestAddr guest) const;
@@ -70,7 +78,15 @@ class GuestSpace {
   /// The line id the HTM/STM tiers key conflict detection on. Registered
   /// addresses map to guest lines; unregistered ones to tagged host lines
   /// (counted in unregistered_accesses()).
-  LineId line_of(const void* host, u64 line_bytes) const;
+  LineId line_of(const void* host, u64 line_bytes) const {
+    const GuestAddr guest = translate(host);
+    if (guest != kInvalidGuestAddr) return guest / line_bytes;
+    return unregistered_line(host, line_bytes);
+  }
+
+  /// The tagged host-derived line of an address translate() rejected;
+  /// counts it in unregistered_accesses().
+  LineId unregistered_line(const void* host, u64 line_bytes) const;
 
   /// Segment owning a guest address, or nullptr.
   const Segment* segment_of(GuestAddr guest) const;
@@ -86,9 +102,24 @@ class GuestSpace {
   u64 unregistered_accesses() const { return unregistered_; }
 
  private:
+  /// A segment as the translation cache holds it: the host range
+  /// [base, base + bytes) and the guest address of base.
+  struct CacheEntry {
+    std::uintptr_t base = 0;
+    u64 bytes = 0;  ///< 0 = empty entry (never hits).
+    GuestAddr guest = 0;
+  };
+  /// Direct-mapped by 64 KiB host granule: the accesses of one span
+  /// alternate between a few segments (its stack, arena blocks, heap
+  /// control), which a single most-recent entry thrashes on.
+  static constexpr unsigned kGranuleShift = 16;
+  static constexpr std::size_t kCacheSize = 256;
+
+  GuestAddr translate_slow(std::uintptr_t a) const;
+
   std::vector<Segment> segments_;  ///< Indexed by registration order.
   std::vector<u32> by_base_;       ///< Segment indices sorted by host base.
-  mutable u32 mru_ = 0;            ///< Last segment hit (bursty accesses).
+  mutable std::array<CacheEntry, kCacheSize> cache_{};
   mutable u64 unregistered_ = 0;
 };
 

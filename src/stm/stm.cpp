@@ -8,10 +8,8 @@ namespace gilfree::stm {
 
 namespace {
 
-/// Maps the STM cause onto the hardware abort-reason vocabulary so the
-/// runtime's existing TxAbort catch sites work unchanged. Persistence is
-/// irrelevant here — the runtime dispatches on SchedThread::in_stm and the
-/// recorded StmAbortCause, never on this mapped reason.
+/// The STM cause in the hardware's vocabulary, for the runtime's TxAbort
+/// catch sites (which dispatch on the recorded StmAbortCause, not this).
 htm::AbortReason mapped_reason(StmAbortCause c) {
   switch (c) {
     case StmAbortCause::kOverflowRead: return htm::AbortReason::kOverflowRead;
@@ -38,13 +36,18 @@ StmEngine::Tx& StmEngine::tx_at(u32 tid) {
   return tx_[tid];
 }
 
-const StmEngine::Tx* StmEngine::tx_of(u32 tid) const {
-  return tid < tx_.size() ? &tx_[tid] : nullptr;
+u64 StmEngine::version_of(LineId line) const {
+  const auto* e = line_version_.find(line);
+  return e == nullptr ? 0 : e->value;
 }
 
-u64 StmEngine::version_of(LineId line) const {
-  const auto it = line_version_.find(line);
-  return it == line_version_.end() ? 0 : it->second;
+bool StmEngine::mark(Tx& t, LineId line, u8 kind) {
+  bool fresh;
+  Mark& m = t.marks.insert(line, Mark{}, fresh).value;
+  if (fresh) m.version = version_of(line);
+  const bool added = !(m.kinds & kind);
+  m.kinds |= kind;
+  return added;
 }
 
 void StmEngine::begin(u32 tid) {
@@ -53,158 +56,120 @@ void StmEngine::begin(u32 tid) {
   t.active = true;
   t.lazy = config_.subscription == GilSubscription::kLazy;
   t.doom = StmAbortCause::kNone;
+  t.marks.clear();
+  t.buffer.clear();
+  t.reads = t.writes = 0;
   ++active_count_;
   ++stats_.begins;
 }
 
-bool StmEngine::in_tx(u32 tid) const {
-  const Tx* t = tx_of(tid);
-  return t != nullptr && t->active;
-}
-
-bool StmEngine::doomed(u32 tid) const {
-  const Tx* t = tx_of(tid);
-  return t != nullptr && t->active && t->doom != StmAbortCause::kNone;
-}
-
-u64 StmEngine::load(u32 tid, CpuId cpu, const u64* addr, bool shared) {
+StmEngine::Tx& StmEngine::enter(u32 tid) {
   Tx& t = tx_at(tid);
-  GILFREE_CHECK_MSG(t.active, "stm load outside a transaction on tid " << tid);
+  GILFREE_CHECK_MSG(t.active, "stm access outside a transaction on " << tid);
   if (t.doom != StmAbortCause::kNone) abort_self(tid, t.doom);
+  return t;
+}
+
+u64 StmEngine::load(u32 tid, CpuId cpu, const u64* addr, bool shared,
+                    LineId line) {
+  Tx& t = enter(tid);
   // Read-own-writes: the buffer is the newest value for this transaction.
-  if (const auto it = t.writes.find(const_cast<u64*>(addr));
-      it != t.writes.end()) {
-    return it->second.value;
-  }
+  if (const auto* w = t.buffer.find(reinterpret_cast<u64>(addr)))
+    return w->value.value;
   if (!shared) return *addr;
-  const LineId line = line_of(addr);
-  if (t.read_marks.find(line) == t.read_marks.end()) {
-    if (t.read_marks.size() >= config_.max_read_lines)
+  if (line == kInvalidLine) line = line_of(addr);
+  if (mark(t, line, kRead)) {
+    if (t.reads >= config_.max_read_lines)
       abort_self(tid, StmAbortCause::kOverflowRead);
-    t.read_marks.emplace(line, version_of(line));
-    stats_.max_read_lines =
-        std::max<u64>(stats_.max_read_lines, t.read_marks.size());
+    stats_.max_read_lines = std::max<u64>(stats_.max_read_lines, ++t.reads);
   }
-  // Route through the hardware's non-transactional load so a concurrent
-  // HTM writer of this line is doomed (requester wins), matching what a
-  // real non-speculative coherency request would do.
-  return htm_ != nullptr ? htm_->nontx_load(cpu, addr) : *addr;
+  // A non-speculative coherency request: dooms a concurrent HTM writer of
+  // the line (requester wins).
+  return htm_ != nullptr ? htm_->nontx_load(cpu, addr, line) : *addr;
 }
 
-void StmEngine::store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared) {
+void StmEngine::store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared,
+                      LineId line) {
   (void)cpu;  // Publishing happens at commit; stores have no bus traffic.
-  Tx& t = tx_at(tid);
-  GILFREE_CHECK(t.active);
-  if (t.doom != StmAbortCause::kNone) abort_self(tid, t.doom);
+  Tx& t = enter(tid);
+  // A shared write marks the line like a read, so two writers of one line
+  // never both commit, even blind ones that read nothing.
   if (shared) {
-    const LineId line = line_of(addr);
-    // First shared write records the line version like a read mark: if any
-    // other transaction commits a write to this line first, validation
-    // fails — so two writers of one line can never both commit, even when
-    // neither ever read it (blind stores).
-    if (t.write_marks.find(line) == t.write_marks.end())
-      t.write_marks.emplace(line, version_of(line));
+    if (line == kInvalidLine) line = line_of(addr);
+    if (mark(t, line, kWritten)) ++t.writes;
   }
-  if (t.writes.find(addr) == t.writes.end() &&
-      t.writes.size() >= config_.max_write_entries) {
+  bool fresh;
+  auto& w = t.buffer.insert(reinterpret_cast<u64>(addr), {}, fresh);
+  if (fresh && t.buffer.size() > config_.max_write_entries)
     abort_self(tid, StmAbortCause::kOverflowWrite);
-  }
-  t.writes[addr] = BufferedWrite{value, shared};
+  w.value = BufferedWrite{value, line, shared};
   stats_.max_write_entries =
-      std::max<u64>(stats_.max_write_entries, t.writes.size());
+      std::max<u64>(stats_.max_write_entries, t.buffer.size());
 }
 
 bool StmEngine::marks_valid(const Tx& t) {
-  stats_.validated_entries += t.read_marks.size() + t.write_marks.size();
-  for (const auto& [line, version] : t.read_marks)
-    if (version_of(line) != version) return false;
-  for (const auto& [line, version] : t.write_marks)
-    if (version_of(line) != version) return false;
+  stats_.validated_entries += t.reads + t.writes;
+  for (const auto& m : t.marks)
+    if (version_of(m.key) != m.value.version) return false;
   return true;
 }
 
 bool StmEngine::validate(u32 tid) {
   Tx& t = tx_at(tid);
   GILFREE_CHECK(t.active);
-  if (t.doom != StmAbortCause::kNone) {
-    const StmAbortCause cause = t.doom;
-    rollback(tid, cause);
-    return false;
-  }
-  if (!marks_valid(t)) {
-    ++stats_.zombie_kills;
-    rollback(tid, StmAbortCause::kValidation);
-    return false;
-  }
-  return true;
+  const StmAbortCause doom = t.doom;
+  if (doom == StmAbortCause::kNone && marks_valid(t)) return true;
+  if (doom == StmAbortCause::kNone) ++stats_.zombie_kills;
+  rollback(tid, doom != StmAbortCause::kNone ? doom
+                                             : StmAbortCause::kValidation);
+  return false;
 }
 
 StmAbortCause StmEngine::commit(u32 tid, CpuId cpu) {
   Tx& t = tx_at(tid);
   GILFREE_CHECK(t.active);
-  if (t.doom != StmAbortCause::kNone) {
-    const StmAbortCause cause = t.doom;
+  // Lazy subscription's one look at the GIL word: a holder is mutating
+  // memory outside any transaction, and committing would interleave.
+  StmAbortCause cause = t.doom;
+  if (cause == StmAbortCause::kNone && t.lazy && gil_word_ && *gil_word_)
+    cause = StmAbortCause::kGilSubscription;
+  if (cause == StmAbortCause::kNone && !marks_valid(t))
+    cause = StmAbortCause::kValidation;
+  if (cause != StmAbortCause::kNone) {
     rollback(tid, cause);
     return cause;
   }
-  // Lazy GIL subscription: the one and only point where the GIL word is
-  // consulted. A held GIL means a thread is mutating memory outside any
-  // transaction right now; committing would interleave with it.
-  if (t.lazy && gil_word_ != nullptr && *gil_word_ != 0) {
-    rollback(tid, StmAbortCause::kGilSubscription);
-    return StmAbortCause::kGilSubscription;
-  }
-  if (!marks_valid(t)) {
-    rollback(tid, StmAbortCause::kValidation);
-    return StmAbortCause::kValidation;
-  }
-  // Validated: this transaction is now logically committed. Retire it
-  // before publishing so the version bumps triggered by its own writes
-  // invalidate *other* live transactions, not itself.
+  // Validated: logically committed. Retire before publishing, so the
+  // version bumps of its own writes invalidate other transactions only.
   t.active = false;
   --active_count_;
   ++stats_.commits;
-  stats_.committed_writes += t.writes.size();
-  // Publish in guest-address order, not buffer-hash order: the doom each
-  // shared publish inflicts on a conflicting hardware transaction records
-  // the published line as the victim's conflict line, so the iteration
-  // order here is visible in traces and record streams. Host-pointer order
-  // varies with ASLR; guest order is process-stable.
-  std::vector<std::pair<u64*, BufferedWrite>> publish(t.writes.begin(),
-                                                      t.writes.end());
-  const sim::GuestSpace* gspace =
-      htm_ != nullptr ? htm_->guest_space() : nullptr;
-  const auto guest_key = [gspace](const u64* addr) {
-    if (gspace != nullptr) {
-      const sim::GuestAddr g = gspace->translate(addr);
-      if (g != sim::kInvalidGuestAddr) return g;
-    }
-    return reinterpret_cast<sim::GuestAddr>(addr);
-  };
-  std::sort(publish.begin(), publish.end(),
-            [&guest_key](const auto& a, const auto& b) {
-              return guest_key(a.first) < guest_key(b.first);
-            });
-  for (const auto& [addr, w] : publish) {
-    if (w.shared) {
-      if (htm_ != nullptr) {
-        // Dooms conflicting hardware transactions and re-enters this
-        // engine through on_nontx_write, bumping the line version for
-        // every other live software transaction.
-        htm_->nontx_store(cpu, addr, w.value);
-      } else {
-        *addr = w.value;
-        bump(line_of(addr));
-      }
+  stats_.committed_writes += t.buffer.size();
+  // Private slots (interpreter stacks) were buffered only for rollback and
+  // publish in any order. Shared writes publish in line order, then
+  // first-store order: a publish that dooms a hardware transaction records
+  // its line as the victim's conflict line, which traces and record streams
+  // show. Guest lines keep that order process-stable.
+  publish_.clear();
+  for (const auto& w : t.buffer) {
+    if (w.value.shared) publish_.push_back(&w);
+    else *reinterpret_cast<u64*>(w.key) = w.value.value;
+  }
+  std::sort(publish_.begin(), publish_.end(), [](const auto* a, const auto* b) {
+    return a->value.line != b->value.line ? a->value.line < b->value.line
+                                          : a < b;
+  });
+  for (const auto* w : publish_) {
+    u64* addr = reinterpret_cast<u64*>(w->key);
+    if (htm_ != nullptr) {
+      // Dooms conflicting hardware transactions and comes back through
+      // on_nontx_write, bumping the line version for other transactions.
+      htm_->nontx_store(cpu, addr, w->value.value, w->value.line);
     } else {
-      // Private lines (interpreter stacks): restore-on-abort is the only
-      // reason they were buffered; no conflict tracking.
-      *addr = w.value;
+      *addr = w->value.value;
+      bump(w->value.line);
     }
   }
-  t.read_marks.clear();
-  t.write_marks.clear();
-  t.writes.clear();
   last_cause_[tid] = StmAbortCause::kNone;
   return StmAbortCause::kNone;
 }
@@ -221,13 +186,11 @@ void StmEngine::doom_all(StmAbortCause cause) {
     if (t.active && t.doom == StmAbortCause::kNone) t.doom = cause;
 }
 
-void StmEngine::on_nontx_write(const u64* addr) {
-  // With no live software transaction nobody holds a marker, and any later
-  // transaction's first access records whatever version the line has then
-  // — skipping the bump is safe and keeps the version table from growing
-  // during STM-free phases.
-  if (active_count_ == 0) return;
-  bump(line_of(addr));
+void StmEngine::on_nontx_write(LineId line) {
+  // With no live software transaction nobody holds a mark, and a later
+  // first access records whatever version the line has then: skipping the
+  // bump is safe and keeps the version table small in STM-free phases.
+  if (active_count_ > 0) bump(line);
 }
 
 void StmEngine::on_gil_acquired() {
@@ -235,32 +198,9 @@ void StmEngine::on_gil_acquired() {
     doom_all(StmAbortCause::kGilSubscription);
 }
 
-StmAbortCause StmEngine::last_cause(u32 tid) const {
-  return tid < last_cause_.size() ? last_cause_[tid] : StmAbortCause::kNone;
-}
-
-u32 StmEngine::read_marker_count(u32 tid) const {
-  const Tx* t = tx_of(tid);
-  return t != nullptr ? static_cast<u32>(t->read_marks.size()) : 0;
-}
-
-u32 StmEngine::write_marker_count(u32 tid) const {
-  const Tx* t = tx_of(tid);
-  return t != nullptr ? static_cast<u32>(t->write_marks.size()) : 0;
-}
-
-u32 StmEngine::write_entry_count(u32 tid) const {
-  const Tx* t = tx_of(tid);
-  return t != nullptr ? static_cast<u32>(t->writes.size()) : 0;
-}
-
 void StmEngine::rollback(u32 tid, StmAbortCause cause) {
-  Tx& t = tx_at(tid);
-  t.active = false;
-  t.doom = StmAbortCause::kNone;
-  t.read_marks.clear();
-  t.write_marks.clear();
-  t.writes.clear();
+  tx_at(tid).active = false;
+  tx_at(tid).doom = StmAbortCause::kNone;
   --active_count_;
   ++stats_.aborts_by_cause[static_cast<std::size_t>(cause)];
   last_cause_[tid] = cause;

@@ -1,34 +1,17 @@
 // Tier-2 software transaction engine (docs/TIERS.md).
 //
-// Sits between HTM retry exhaustion and GIL acquisition in the engine's
-// escalation path. The design is the classic timestamp-ordered STM in the
-// style of pypy-stmgc's per-thread read markers + commit-time validation:
-//
-//   * a global commit counter `clock_` and a per-line version table over
-//     the same 256-B-aligned line space the HTM conflict table uses,
-//   * per-thread read markers: line -> version observed at first read,
-//   * a write buffer: address -> buffered value; shared lines also record
-//     the version observed at first write, so two transactions that write
-//     the same line can never both commit (writer-writer conflicts fail
-//     validation no matter which order they interleaved),
-//   * commit = validate every marker against the current version table
-//     (plus the GIL word under lazy subscription), then publish the buffer
-//     through the HTM facility's non-transactional store path, which dooms
-//     conflicting hardware transactions and bumps line versions for every
-//     other live software transaction.
-//
-// The engine learns about non-transactional writes (GIL holders, HTM
-// commits draining their redo logs) by registering as the HTM facility's
-// MemWriteListener: every such write bumps the written line's version, so
-// validation catches any software transaction that read it.
-//
-// Everything is deterministic: versions come from one global counter,
-// validation is an order-independent conjunction of equalities, and no
-// decision depends on host iteration order of the unordered containers.
+// Between HTM retry exhaustion and the GIL: a timestamp-ordered STM in the
+// style of pypy-stmgc. A global counter stamps a version table over the HTM
+// line space; a transaction marks the version of each shared line it reads
+// or writes, buffers its stores, and commits by validating every mark (and
+// the GIL word under lazy subscription), then publishing through the HTM
+// facility's non-transactional stores. Outside writes (GIL holders, HTM
+// commits) arrive through MemWriteListener and bump versions. Deterministic:
+// one counter, validation by equalities, tables iterated in first-access
+// order, shared writes published in line order.
 #pragma once
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,9 +28,8 @@ struct StmStats {
   std::array<u64, kNumStmAbortCauses> aborts_by_cause{};
   u64 validated_entries = 0;  ///< Markers compared (commit + incremental).
   u64 committed_writes = 0;   ///< Buffered entries published by commits.
-  u64 zombie_kills = 0;       ///< Incremental yield-point validation catches:
-                              ///< a span that kept running past an
-                              ///< invalidating write (the lazy hazard).
+  u64 zombie_kills = 0;       ///< Yield-point validation catches of spans
+                              ///< running past an invalidating write.
   u64 max_read_lines = 0;     ///< High-water marks across all transactions.
   u64 max_write_entries = 0;
 
@@ -60,97 +42,115 @@ struct StmStats {
 
 class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
  public:
-  /// `htm` may be null (unit tests): loads/stores then bypass the hardware
-  /// conflict table and version bumps happen locally at commit.
+  /// `htm` may be null (unit tests): accesses then bypass the hardware
+  /// conflict table and commits bump versions themselves.
   StmEngine(const StmConfig& config, htm::HtmFacility* htm);
 
-  const StmConfig& config() const { return config_; }
-
-  /// The slot holding GIL.acquired; wired by the engine once the heap
-  /// exists. Required for lazy subscription's commit-time check.
+  /// The GIL.acquired slot, for lazy subscription's commit-time check.
   void set_gil_word(const u64* word) { gil_word_ = word; }
 
-  /// Starts a software transaction for `tid`. The caller must have
-  /// checkpointed VM registers; rollback is the caller's job (this class
-  /// only buffers memory).
+  /// Starts `tid`'s transaction. The caller checkpoints and restores the VM
+  /// registers; this class only buffers memory.
   void begin(u32 tid);
 
-  bool in_tx(u32 tid) const;
-  bool doomed(u32 tid) const;
+  bool in_tx(u32 tid) const { return tid < tx_.size() && tx_[tid].active; }
+  bool doomed(u32 tid) const {
+    return in_tx(tid) && tx_[tid].doom != StmAbortCause::kNone;
+  }
 
-  /// Transactional accessors. `shared` follows the same meaning as the HTM
-  /// accessors: private lines (interpreter stacks) are buffered for
-  /// rollback but skip conflict tracking. Throw htm::TxAbort (mapped from
-  /// the STM cause, retrievable via last_cause) after rolling back this
-  /// engine's own state; the runtime unwinds to its checkpoint.
-  u64 load(u32 tid, CpuId cpu, const u64* addr, bool shared);
-  void store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared);
+  /// Transactional accessors; `shared` as for the HTM accessors (private
+  /// slots are buffered for rollback only). On abort they roll back and
+  /// throw htm::TxAbort (cause in last_cause). A shared access resolves
+  /// `line` = line_of(addr) once, unless given, for the hardware and the
+  /// commit order.
+  u64 load(u32 tid, CpuId cpu, const u64* addr, bool shared,
+           LineId line = kInvalidLine);
+  void store(u32 tid, CpuId cpu, u64* addr, u64 value, bool shared,
+             LineId line = kInvalidLine);
 
-  /// Revalidates the read/write markers without committing. Returns true
-  /// when the transaction is still consistent; otherwise the transaction
-  /// has been rolled back (cause recorded, retrievable via last_cause) and
-  /// the caller must unwind. Bounds the zombie window to one yield burst.
+  /// The line both tiers key on (the HTM facility's mapping when attached).
+  LineId line_of(const void* addr) const {
+    if (htm_ != nullptr) return htm_->line_of(addr);
+    return reinterpret_cast<std::uintptr_t>(addr) / config_.line_bytes;
+  }
+
+  /// Revalidates the marks without committing: true if still consistent,
+  /// else rolled back (cause in last_cause) and the caller must unwind.
+  /// Bounds the zombie window to one yield burst.
   bool validate(u32 tid);
 
-  /// Attempts to commit. Returns kNone on success (buffer published);
-  /// otherwise the transaction has been rolled back and the returned cause
-  /// says why. Never throws.
+  /// Commits: kNone with the buffer published, or the cause of the
+  /// rollback. Never throws.
   StmAbortCause commit(u32 tid, CpuId cpu);
 
-  /// Software-initiated abort (unsupported operation, engine policy).
-  /// Rolls back, then throws htm::TxAbort like the transactional accessors
-  /// so the interpreter unwinds to the runtime's checkpoint.
+  /// Software-initiated abort (unsupported operation, engine policy):
+  /// rolls back and throws htm::TxAbort like the accessors.
   [[noreturn]] void abort(u32 tid, StmAbortCause cause);
 
   /// Dooms every live software transaction (GC, eager GIL subscription).
   /// Doomed transactions fail at their next access or at commit.
   void doom_all(StmAbortCause cause);
 
-  /// htm::MemWriteListener: a non-transactional store (GIL holder, runtime
-  /// bookkeeping) or an HTM commit published `addr`.
-  void on_nontx_write(const u64* addr) override;
+  /// htm::MemWriteListener: a non-transactional store or an HTM commit
+  /// published a slot on `line`.
+  void on_nontx_write(LineId line) override;
 
-  /// gil::AcquireListener: eager subscription — the acquisition write
-  /// dooms every live software transaction, exactly as if the GIL word
-  /// were in each read set. Lazy subscription defers to commit.
+  /// gil::AcquireListener: under eager subscription the acquisition dooms
+  /// every live transaction, as if the GIL word were in each read set.
+  /// Lazy subscription defers to commit.
   void on_gil_acquired() override;
 
   /// Cause of the most recent abort of `tid`'s transaction.
-  StmAbortCause last_cause(u32 tid) const;
+  StmAbortCause last_cause(u32 tid) const {
+    return tid < last_cause_.size() ? last_cause_[tid] : StmAbortCause::kNone;
+  }
 
-  u32 read_marker_count(u32 tid) const;
-  u32 write_marker_count(u32 tid) const;
-  u32 write_entry_count(u32 tid) const;
+  /// Read plus write marks (what validation compares), and buffered
+  /// entries (what commit publishes), of `tid`'s live transaction.
+  u32 marker_count(u32 tid) const {
+    return in_tx(tid) ? tx_[tid].reads + tx_[tid].writes : 0;
+  }
+  u32 write_entry_count(u32 tid) const {
+    return in_tx(tid) ? static_cast<u32>(tx_[tid].buffer.size()) : 0;
+  }
 
   const StmStats& stats() const { return stats_; }
-  u64 clock() const { return clock_; }
 
  private:
+  static constexpr u8 kRead = 1, kWritten = 2;
+  /// A shared line's version at the first access and how it was accessed.
+  /// Versions only grow, so a line both read and written fails validation
+  /// exactly when a separate read or write mark would.
+  struct Mark {
+    u64 version = 0;
+    u8 kinds = 0;  ///< kRead | kWritten.
+  };
   struct BufferedWrite {
     u64 value = 0;
+    LineId line = kInvalidLine;  ///< Valid when shared.
     bool shared = false;
   };
+  using Writes = htm::FlatTable<BufferedWrite>;  ///< By slot host address.
   struct Tx {
     bool active = false;
     bool lazy = false;
     StmAbortCause doom = StmAbortCause::kNone;
-    /// line -> version at first read / first shared write.
-    std::unordered_map<LineId, u64> read_marks;
-    std::unordered_map<LineId, u64> write_marks;
-    std::unordered_map<u64*, BufferedWrite> writes;
+    htm::FlatTable<Mark> marks;
+    u32 reads = 0;   ///< Lines marked kRead.
+    u32 writes = 0;  ///< Lines marked kWritten.
+    Writes buffer;
   };
 
   Tx& tx_at(u32 tid);
-  const Tx* tx_of(u32 tid) const;
-  /// Both tiers must share one line space, so with an HTM facility
-  /// attached the mapping is delegated to it (guest-relative when the
-  /// engine wired a guest address space, host-derived otherwise).
-  LineId line_of(const void* addr) const {
-    if (htm_ != nullptr) return htm_->line_of(addr);
-    return reinterpret_cast<std::uintptr_t>(addr) / config_.line_bytes;
-  }
+  Tx& enter(u32 tid);  ///< tx_at() for an access: live, aborts if doomed.
   u64 version_of(LineId line) const;
-  void bump(LineId line) { line_version_[line] = ++clock_; }
+  /// Marks `line` with `kind`, recording its version at the first access;
+  /// true when `kind` is new for the line.
+  bool mark(Tx& t, LineId line, u8 kind);
+  void bump(LineId line) {
+    bool fresh;
+    line_version_.insert(line, 0, fresh).value = ++clock_;
+  }
   bool marks_valid(const Tx& t);
   void rollback(u32 tid, StmAbortCause cause);
   [[noreturn]] void abort_self(u32 tid, StmAbortCause cause);
@@ -159,8 +159,9 @@ class StmEngine : public htm::MemWriteListener, public gil::AcquireListener {
   htm::HtmFacility* htm_;
   const u64* gil_word_ = nullptr;
   u64 clock_ = 0;
-  std::unordered_map<LineId, u64> line_version_;
+  htm::FlatTable<u64> line_version_;  ///< Lines never bumped: version 0.
   std::vector<Tx> tx_;
+  std::vector<const Writes::Entry*> publish_;  ///< Commit scratch.
   std::vector<StmAbortCause> last_cause_;
   u32 active_count_ = 0;
   StmStats stats_;

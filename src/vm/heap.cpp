@@ -91,8 +91,7 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
       tcb_malloc_slots + config_.global_table_slots * 2 +
       config_.ic_table_slots + 64;
 
-  control_storage_ = std::make_unique<u64[]>(total + kLineAlign / 8);
-  std::memset(control_storage_.get(), 0, (total + kLineAlign / 8) * 8);
+  control_storage_ = make_zeroed<u64>(total + kLineAlign / 8);
   u64* p = align_up(control_storage_.get(), kLineAlign);
   if (config_.guest_space != nullptr) {
     const u64 usable =
@@ -138,7 +137,7 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
 
   // ---- spill region ----
   const u64 first_spill_slots = 4ull << 20;  // 32 MB
-  spill_blocks_.push_back(std::make_unique<u64[]>(first_spill_slots + 32));
+  spill_blocks_.push_back(make_zeroed<u64>(first_spill_slots + 32));
   spill_bump_ = align_up(spill_blocks_.back().get(), kLineAlign);
   spill_end_ = spill_blocks_.back().get() + first_spill_slots;
   if (config_.guest_space != nullptr) {
@@ -157,7 +156,7 @@ void Heap::add_arena_block(u32 rvalues) {
   // on where malloc happened to place the block, or the simulated conflict
   // pattern (and the trace it produces) would vary with host addresses.
   const u32 pad = static_cast<u32>(kLineAlign / sizeof(RBasic)) + 1;
-  block.storage = std::make_unique<RBasic[]>(rvalues + pad);
+  block.storage = make_zeroed<RBasic>(rvalues + pad);
   auto base = reinterpret_cast<std::uintptr_t>(block.storage.get());
   base = (base + kLineAlign - 1) & ~(kLineAlign - 1);
   block.base = reinterpret_cast<RBasic*>(base);
@@ -761,7 +760,7 @@ void Heap::grow_spill_region(Host& host, u32 needed_slots) {
   // undo, so it must happen outside transactions.
   host.require_nontx("malloc-grow");
   const u64 slots = std::max<u64>(4ull << 20, u64{needed_slots} + 32);
-  spill_blocks_.push_back(std::make_unique<u64[]>(slots + 32));
+  spill_blocks_.push_back(make_zeroed<u64>(slots + 32));
   spill_bump_ = align_up(spill_blocks_.back().get(), kLineAlign);
   spill_end_ = spill_blocks_.back().get() + slots;
   if (config_.guest_space != nullptr) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "common/zeroed.hpp"
 #include "obs/latency_hist.hpp"
 #include "sim/guest_space.hpp"
 #include "vm/host.hpp"
@@ -364,7 +365,7 @@ class Heap {
 
  private:
   struct ArenaBlock {
-    std::unique_ptr<RBasic[]> storage;
+    ZeroedArray<RBasic> storage;
     RBasic* base = nullptr;  ///< Line-aligned start.
     u32 count = 0;
     std::vector<bool> mark;
@@ -436,7 +437,7 @@ class Heap {
   u64 total_objects_ = 0;
 
   // Raw line-aligned slabs for control state; addresses are stable.
-  std::unique_ptr<u64[]> control_storage_;
+  ZeroedArray<u64> control_storage_;
   u64* gil_word_ = nullptr;
   u64* global_free_head_ = nullptr;
   u64* global_free_count_ = nullptr;
@@ -454,7 +455,7 @@ class Heap {
   u32 num_constants_ = 0;
 
   // Spill backing store: grows in blocks; addresses stable.
-  std::vector<std::unique_ptr<u64[]>> spill_blocks_;
+  std::vector<ZeroedArray<u64>> spill_blocks_;
   u64* spill_bump_ = nullptr;
   u64* spill_end_ = nullptr;
   u64 spill_slots_allocated_ = 0;

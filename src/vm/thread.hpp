@@ -13,6 +13,7 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "common/zeroed.hpp"
 #include "vm/value.hpp"
 
 namespace gilfree::vm {
@@ -54,7 +55,7 @@ class VmThread {
 
   VmThread(u32 tid, u32 stack_slots)
       : tid_(tid), stack_slots_(stack_slots),
-        storage_(std::make_unique<u64[]>(stack_slots + kStackAlignSlots)) {
+        storage_(make_zeroed<u64>(stack_slots + kStackAlignSlots)) {
     GILFREE_CHECK(stack_slots >= 1024);
     auto v = reinterpret_cast<std::uintptr_t>(storage_.get());
     v = (v + kStackAlignSlots * 8 - 1) & ~(kStackAlignSlots * 8 - 1);
@@ -101,7 +102,7 @@ class VmThread {
  private:
   u32 tid_;
   u32 stack_slots_;
-  std::unique_ptr<u64[]> storage_;
+  ZeroedArray<u64> storage_;
   u64* stack_ = nullptr;  ///< Line-aligned start within storage_.
   ThreadRegs regs_;
   bool finished_ = false;

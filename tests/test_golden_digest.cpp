@@ -12,6 +12,10 @@
 // A change that is meant to move simulated output re-records them and says
 // why in its change notes.
 //
+// Further pins cover the paths those two tables never reach: the STM tier
+// under lazy and eager GIL subscription, HTM read and write overflows at
+// SMT-halved capacity, and an injected capacity-clip campaign.
+//
 // The sharded serving digests pin the epoch-sliced runs the same way: the
 // in-process breaker run (merged log, transition list, spill count) and a
 // multi-process fleet with stealing and autoscaling (merged log, decision
@@ -52,7 +56,8 @@ struct Digests {
   u64 metrics = 0;
 };
 
-Digests run_digests(EngineConfig cfg, u64 program_seed) {
+Digests run_digests(EngineConfig cfg, const std::string& source,
+                    runtime::RunStats* stats = nullptr) {
   obs::ObsConfig oc;
   // Keyed by test name: ctest -j runs this suite's tests as concurrent
   // processes, and a shared path races (write / read-back / remove).
@@ -66,8 +71,9 @@ Digests run_digests(EngineConfig cfg, u64 program_seed) {
     cfg.heap.initial_slots = 80'000;
     cfg.obs_sink = &sink;
     runtime::Engine engine(std::move(cfg));
-    engine.load_program({testutil::random_program(program_seed)});
-    engine.run();
+    engine.load_program({source});
+    const runtime::RunStats s = engine.run();
+    if (stats != nullptr) *stats = s;
     sink.flush();
     d.metrics = httpsim::cluster::fnv1a64(obs::metrics_to_json(sink.runs()));
   }
@@ -86,7 +92,7 @@ void expect_golden(MakeConfig make, const Golden (&golden)[N],
   for (const Golden& g : golden) {
     const Digests d =
         run_digests(make(htm::SystemProfile::by_name(g.machine)),
-                    g.program_seed);
+                    testutil::random_program(g.program_seed));
     const std::string label = std::string(engine) + "/" + g.machine +
                               "/seed " + std::to_string(g.program_seed);
     EXPECT_EQ(d.trace, g.trace) << label << ": trace digest moved";
@@ -123,6 +129,120 @@ TEST(GoldenDigest, HtmDynamicEngineMatchesRecordedDigests) {
   expect_golden(
       [](const htm::SystemProfile& p) { return EngineConfig::htm_dynamic(p); },
       kHtmDynamic, "HTM-dynamic");
+}
+
+// Pins for the paths the GIL/HTM-dynamic tables above never reach: the STM
+// tier's marks, validation and commit publication, the HTM capacity
+// overflows, and injected capacity clips. Each pin also asserts that its run
+// actually took the path it is there to pin.
+struct Pin {
+  const char* label;
+  u64 trace;
+  u64 metrics;
+};
+
+runtime::RunStats expect_pin(EngineConfig cfg, const std::string& source,
+                             const Pin& pin) {
+  runtime::RunStats stats;
+  const Digests d = run_digests(std::move(cfg), source, &stats);
+  EXPECT_EQ(d.trace, pin.trace) << pin.label << ": trace digest moved";
+  EXPECT_EQ(d.metrics, pin.metrics) << pin.label << ": metrics digest moved";
+  return stats;
+}
+
+// Every span escalates past HTM under a persistent-all campaign, so the
+// software tier carries the run (--stm --fault-persistent-yps=all).
+EngineConfig stm_persistent(const char* machine, stm::GilSubscription sub) {
+  auto cfg = EngineConfig::htm_dynamic(htm::SystemProfile::by_name(machine));
+  cfg.stm.enabled = true;
+  cfg.stm.subscription = sub;
+  cfg.fault.persistent_all_yps = true;
+  return cfg;
+}
+
+constexpr Pin kStmLazy[] = {
+    {"STM-lazy/zEC12/seed 1", 0xab4f227ec79b8422ULL, 0x3f5a9d2a311abdf5ULL},
+    {"STM-lazy/XeonE3-1275v3/seed 2", 0xed46781391ae9423ULL,
+     0x9b2f1eb873b748e1ULL},
+};
+
+constexpr Pin kStmEager[] = {
+    {"STM-eager/zEC12/seed 1", 0x891f86f44db080abULL, 0x2ec0eba53b09719bULL},
+    {"STM-eager/XeonE3-1275v3/seed 2", 0xc2864a17f8257283ULL,
+     0x010b9b861b17df7dULL},
+};
+
+void expect_stm_pins(const Pin (&pins)[2], stm::GilSubscription sub) {
+  const char* machines[] = {"zEC12", "XeonE3-1275v3"};
+  for (int i = 0; i < 2; ++i) {
+    const auto s = expect_pin(stm_persistent(machines[i], sub),
+                              testutil::random_program(i + 1), pins[i]);
+    EXPECT_GT(s.stm.commits, 0u) << pins[i].label;
+    EXPECT_GT(s.stm.validated_entries, 0u) << pins[i].label;
+  }
+}
+
+TEST(GoldenDigest, StmLazyUnderPersistentFaultsMatchesRecordedDigests) {
+  expect_stm_pins(kStmLazy, stm::GilSubscription::kLazy);
+}
+
+TEST(GoldenDigest, StmEagerUnderPersistentFaultsMatchesRecordedDigests) {
+  expect_stm_pins(kStmEager, stm::GilSubscription::kEager);
+}
+
+// Eight threads on the four two-way SMT cores of the Xeon profile, so a
+// transaction runs at half capacity while its sibling is busy. Each thread
+// reads a strided shared array and allocates floats. Both capacities are
+// lowered so a test-sized program overflows them; the learning model's
+// eager refusals follow the genuine overflows.
+constexpr const char* kOverflowProgram = R"(
+$data = Array.new(4000, 1)
+$out = Array.new(8, 0.0)
+ts = []
+8.times do |i|
+  ts << Thread.new(i) do |tid|
+    big = Array.new(2000, tid)
+    acc = 0.0
+    k = 0
+    while k < 300
+      acc = acc + $data[(k * 13) % 4000] + 0.1 + 0.2 + 0.3 + 0.4 + 0.5
+      k += 1
+    end
+    $out[tid] = acc + big[1999]
+  end
+end
+ts.each do |t|
+  t.join
+end
+__record("v", $out[0] + $out[7])
+)";
+
+TEST(GoldenDigest, XeonSmtOverflowRunMatchesRecordedDigests) {
+  auto cfg = EngineConfig::htm_fixed(htm::SystemProfile::xeon_e3(), 16);
+  cfg.profile.htm.max_read_lines = 256;
+  cfg.profile.htm.max_write_lines = 16;
+  const Pin pin = {"HTM-16/XeonE3-1275v3/overflow", 0x7717a239d1ab33c9ULL,
+                   0x286dbc84c8cf0b02ULL};
+  const auto s = expect_pin(std::move(cfg), kOverflowProgram, pin);
+  const auto aborts = [&s](htm::AbortReason r) {
+    return s.htm.aborts_by_reason[static_cast<int>(r)];
+  };
+  EXPECT_GT(aborts(htm::AbortReason::kOverflowRead), 0u);
+  // Genuine write overflows, not only the learning model's eager refusals.
+  EXPECT_GT(aborts(htm::AbortReason::kOverflowWrite), s.htm.eager_aborts);
+  EXPECT_GT(s.htm.eager_aborts, 0u);
+}
+
+// A capacity-loss campaign (--fault-capacity-factor): overflows the clipped
+// limit would not have hit at full capacity count as injected clips.
+TEST(GoldenDigest, CapacityClipCampaignMatchesRecordedDigests) {
+  auto cfg = EngineConfig::htm_dynamic(htm::SystemProfile::zec12());
+  cfg.fault.capacity_factor = 0.1;
+  cfg.fault.seed = 7;
+  const Pin pin = {"HTM-dynamic/zEC12/capacity 0.1", 0x25c18bffef8813b7ULL,
+                   0xe756d8b55513b5b5ULL};
+  const auto s = expect_pin(std::move(cfg), testutil::random_program(3), pin);
+  EXPECT_GT(s.faults.count(fault::FaultKind::kCapacity), 0u);
 }
 
 // The Overload.BreakerBrownOutIsByteDeterministicForAFixedSeed run: four

@@ -4,8 +4,10 @@
 // incremental sweeping, the generational nursery (promotion, conservation,
 // write barrier), incremental marking, stash stealing, and a
 // trace-differential test pinning the default configuration to the seed
-// allocator's behaviour.
+// allocator's behaviour, plus the page commit of zeroed engine arrays.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -13,6 +15,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "obs/sink.hpp"
 #include "runtime/engine.hpp"
@@ -66,6 +69,36 @@ HeapConfig small_config() {
   c.block_slots = 1024;
   c.max_threads = 4;
   return c;
+}
+
+/// Pages overlapping [p, p + bytes) that the kernel holds resident.
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+  const auto end = reinterpret_cast<std::uintptr_t>(p) + bytes;
+  std::vector<unsigned char> in_core((end - begin + page - 1) / page);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(begin), end - begin,
+                      in_core.data()),
+            0);
+  return static_cast<std::size_t>(
+      std::count_if(in_core.begin(), in_core.end(),
+                    [](unsigned char c) { return (c & 1) != 0; }));
+}
+
+// A VM stack or spill block commits exactly the pages the simulator writes,
+// however many dirty arrays of its size the process freed before: engine
+// memory must follow the workload, not the allocator's history.
+TEST(ZeroedArray, CommitsOnlyWrittenPagesAfterDirtyFrees) {
+  constexpr std::size_t kSlots = 64 * 1024;  // 512 KB, one VM stack
+  for (int round = 0; round < 4; ++round) {
+    auto a = make_zeroed<u64>(kSlots);
+    a[0] = 1;
+    a[kSlots / 2] = 2;
+    EXPECT_EQ(resident_pages(a.get(), kSlots * sizeof(u64)), 2u);
+    const auto zeros = std::count(a.get(), a.get() + kSlots, u64{0});
+    EXPECT_EQ(static_cast<std::size_t>(zeros), kSlots - 2);
+    std::fill(a.get(), a.get() + kSlots, ~u64{0});
+  }
 }
 
 TEST(Heap, AllocatesDistinctAlignedObjects) {

@@ -137,9 +137,9 @@ TEST(StmUnit, LazyZombieObservesTornStateButCannotCommit) {
   // The "GIL holder": writes both words non-transactionally, mid-span.
   gil_word = 1;
   *a = 6;
-  e.on_nontx_write(a);
+  e.on_nontx_write(e.line_of(a));
   *b = 6;
-  e.on_nontx_write(b);
+  e.on_nontx_write(e.line_of(b));
   gil_word = 0;
 
   const u64 read_b = e.load(0, 0, b, true);
@@ -163,7 +163,7 @@ TEST(StmUnit, IncrementalValidationKillsTheZombieEarly) {
   EXPECT_TRUE(e.validate(0)) << "nothing invalidated yet";
 
   mem.slots[0] = 9;
-  e.on_nontx_write(&mem.slots[0]);
+  e.on_nontx_write(e.line_of(&mem.slots[0]));
   EXPECT_FALSE(e.validate(0)) << "yield-point validation must catch it";
   EXPECT_EQ(e.stats().zombie_kills, 1u);
   EXPECT_FALSE(e.in_tx(0)) << "validate rolls the transaction back";
