@@ -2,7 +2,7 @@
 // thread variable rewritten by every transaction, single global free list,
 // miss-updated inline caches, unpadded thread structures), "the HTM
 // provided no acceleration in any of the benchmarks".
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -13,13 +13,7 @@ int main(int argc, char** argv) {
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 12));
   const std::string only = flags.get("benchmarks", "");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "ablation_conflict_removal");
 
   const auto profile = htm::SystemProfile::zec12();
   std::cout << "== Ablation: §4.4 conflict removals (HTM-dynamic @" << threads
@@ -30,25 +24,16 @@ int main(int argc, char** argv) {
 
   for (const auto& w : workloads::npb_workloads()) {
     if (!only.empty() && only.find(w.name) == std::string::npos) continue;
-    auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg, &flags);
-    record.wire(base_cfg, w.name, "GIL", 1, scale);
-    const auto base = workloads::run_workload(std::move(base_cfg), w, 1, scale);
+    const auto base =
+        h.run_base(h.config(profile, "GIL"), w, {"GIL", 1, scale});
     auto speedup = [&](runtime::EngineConfig cfg, const char* variant) {
       // Variant configs mutate engine knobs a record header cannot carry, so
-      // they get the address mode but never a record stream.
-      record.wire(cfg, w.name, variant, threads, scale);
-      observe(cfg, sink,
-              {{"figure", "ablation_conflict_removal"},
-               {"machine", profile.machine.name},
-               {"workload", w.name},
-               {"threads", std::to_string(threads)},
-               {"config", variant}});
-      const auto p = workloads::run_workload(std::move(cfg), w, threads,
-                                             scale);
+      // they are never recorded.
+      const auto p = h.run(std::move(cfg), w, {variant, threads, scale});
       return TablePrinter::num(base.elapsed_us / p.elapsed_us, 2);
     };
 
-    auto all = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
+    auto all = h.config(profile, "HTM-dynamic");
 
     auto no_tls = all;
     no_tls.vm.thread_local_current_thread = false;

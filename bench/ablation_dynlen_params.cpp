@@ -2,7 +2,7 @@
 // best target abort ratio depends on the HTM implementation (1% zEC12 / 6%
 // Xeon), that INITIAL_TRANSACTION_LENGTH and PROFILING_PERIOD hardly matter
 // unless set absurdly large, and that ATTENUATION_RATE = 0.75 works well.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -13,33 +13,18 @@ int main(int argc, char** argv) {
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 12));
   const std::string bench_name = flags.get("benchmark", "FT");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "ablation_dynlen_params");
 
   const auto profile = htm::SystemProfile::zec12();
   const auto& w = workloads::npb(bench_name);
-  auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg, &flags);
-  record.wire(base_cfg, w.name, "GIL", 1, scale);
-  const auto base = workloads::run_workload(std::move(base_cfg), w, 1, scale);
+  const auto base = h.run_base(h.config(profile, "GIL"), w, {"GIL", 1, scale});
 
   auto run_with = [&](const char* variant, auto mutate) {
-    auto cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
+    auto cfg = h.config(profile, "HTM-dynamic");
     mutate(cfg);
     // Variants mutate tuning constants a record header cannot carry, so they
-    // get the address mode but never a record stream.
-    record.wire(cfg, w.name, variant, threads, scale);
-    observe(cfg, sink,
-            {{"figure", "ablation_dynlen_params"},
-             {"machine", profile.machine.name},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", variant}});
-    const auto p = workloads::run_workload(std::move(cfg), w, threads, scale);
+    // are never recorded.
+    const auto p = h.run(std::move(cfg), w, {variant, threads, scale});
     return std::pair<double, double>(base.elapsed_us / p.elapsed_us,
                                      100.0 * p.stats.abort_ratio());
   };

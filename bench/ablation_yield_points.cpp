@@ -3,7 +3,7 @@
 // more work, overflow the store footprint, and fall back to the GIL —
 // the paper saw >20% slowdowns versus the plain GIL in all NPB programs
 // except CG.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -13,13 +13,7 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 12));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "ablation_yield_points");
 
   const auto profile = htm::SystemProfile::zec12();
   std::cout << "== Ablation: extended yield points (HTM-dynamic @" << threads
@@ -28,34 +22,24 @@ int main(int argc, char** argv) {
                       "abort_ratio_without_pct"});
 
   for (const auto& w : workloads::npb_workloads()) {
-    auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg, &flags);
-    record.wire(base_cfg, w.name, "GIL", 1, scale);
-    const auto base = workloads::run_workload(std::move(base_cfg), w, 1, scale);
+    const auto base =
+        h.run_base(h.config(profile, "GIL"), w, {"GIL", 1, scale});
 
-    auto with_cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
-    record.wire(with_cfg, w.name, "HTM-dynamic", threads, scale);
-    observe(with_cfg, sink,
-            {{"figure", "ablation_yield_points"},
-             {"machine", profile.machine.name},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", "with_extended_yp"}});
+    // Recorded as the HTM-dynamic run it is, labelled as its column.
+    auto with_cfg = h.config(profile, "HTM-dynamic");
+    h.record(with_cfg, w.name, {"HTM-dynamic", threads, scale});
+    h.label(with_cfg, {{"workload", w.name},
+                       {"threads", std::to_string(threads)},
+                       {"config", "with_extended_yp"}});
     const auto with_yp =
         workloads::run_workload(std::move(with_cfg), w, threads, scale);
 
-    auto without_cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
+    auto without_cfg = h.config(profile, "HTM-dynamic");
     without_cfg.vm.extended_yield_points = false;
     // The yield-point mutation is not carried by a record header, so this
-    // variant gets the address mode but no record stream.
-    record.wire(without_cfg, w.name, "without_extended_yp", threads, scale);
-    observe(without_cfg, sink,
-            {{"figure", "ablation_yield_points"},
-             {"machine", profile.machine.name},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", "without_extended_yp"}});
-    const auto without_yp =
-        workloads::run_workload(std::move(without_cfg), w, threads, scale);
+    // variant is never recorded.
+    const auto without_yp = h.run(std::move(without_cfg), w,
+                                  {"without_extended_yp", threads, scale});
 
     table.add_row({w.name,
                    TablePrinter::num(base.elapsed_us / with_yp.elapsed_us, 2),

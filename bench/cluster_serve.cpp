@@ -28,7 +28,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 #include "httpsim/cluster/record.hpp"
 #include "httpsim/cluster/worker.hpp"
 
@@ -393,20 +393,15 @@ int main(int argc, char** argv) {
   const std::string artifact_stem = flags.get("artifact-stem", "");
   const std::string record_out = flags.get("record-out", "");
   const std::string verify_record = flags.get("verify-record", "");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;          // registers --gc-* for strict CLI; the
-  parse_gc_flags(flags, gc_probe);  // values travel to workers as flag strings
   ClusterSpec spec;
-  try {
-    spec.driver = httpsim::DriverConfig::from_flags(flags);
-    spec.options = httpsim::cluster::ClusterOptions::from_flags(flags);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  flags.reject_unknown();
+  spec.driver =
+      or_exit([&] { return httpsim::DriverConfig::from_flags(flags); });
+  spec.options = or_exit(
+      [&] { return httpsim::cluster::ClusterOptions::from_flags(flags); });
+  // --record-out= is this driver's own fleet record, so the workload
+  // record family is not taken.
+  Harness h(flags, "cluster_serve",
+            Harness::kFault | Harness::kStm | Harness::kGc);
 
   if (!verify_record.empty()) {
     try {
@@ -424,6 +419,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Resolve the names here, so a bad one exits 2 before any worker forks.
+  h.config(h.machine(machine), config_name);
   spec.machine = machine;
   spec.config = config_name;
   spec.program = program_name;
@@ -432,7 +429,7 @@ int main(int argc, char** argv) {
   // The same canonical flag-string currency the record headers use carries
   // the engine families (--fault-*, --stm*, --gc-*) to every
   // worker's Init frame.
-  spec.engine_flags = workloads::replay_flags(fault_cfg, stm_cfg, &flags);
+  spec.engine_flags = workloads::replay_flags(h.fault(), h.stm(), &flags);
 
   if (campaign)
     return run_campaign(machine, config_name, program_name, seed,
@@ -445,8 +442,7 @@ int main(int argc, char** argv) {
 
   ClusterRunResult result;
   try {
-    result = httpsim::cluster::run_cluster(
-        spec, sink.enabled() ? &sink : nullptr);
+    result = httpsim::cluster::run_cluster(spec, h.sink_or_null());
     if (!record_out.empty())
       httpsim::cluster::write_cluster_record(record_out, spec, result);
   } catch (const std::exception& e) {

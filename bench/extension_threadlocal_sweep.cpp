@@ -5,7 +5,7 @@
 // proposal (the sweeper deals freed objects straight onto per-thread lists)
 // and measures the conflict-abort and throughput effect on an allocation-
 // heavy NPB kernel under GC pressure.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -15,18 +15,9 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 12));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  // Optional --gc-* overrides (arenas, lazy sweep, deal policy) so the
-  // legacy two-variant table can be re-run on top of the new allocator
-  // features; bench/gc_scaling covers the full matrix.
-  vm::HeapConfig gc_overrides;
-  parse_gc_flags(flags, gc_overrides);
   // Every variant mutates the heap beyond what a record header carries, so
-  // this harness takes --record-* (strict CLI) but never records.
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  // this driver takes --record-* (strict CLI) but never records.
+  Harness h(flags, "extension_threadlocal_sweep");
 
   const auto profile = htm::SystemProfile::zec12();
   std::cout << "== Extension: thread-local sweeping (§7 future work), "
@@ -37,27 +28,26 @@ int main(int argc, char** argv) {
 
   for (const char* name : {"FT", "BT", "MG"}) {
     const auto& w = workloads::npb(name);
-    auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg);
+    // Optional --gc-* overrides (arenas, lazy sweep, deal policy) apply to
+    // the variants only, after their own heap axes, so the legacy
+    // two-variant table can be re-run on top of the new allocator features;
+    // bench/gc_scaling covers the full matrix.
+    auto base_cfg = h.config_without_gc(profile, "GIL");
     base_cfg.heap.initial_slots = 90'000;  // force several GCs
     const auto base = workloads::run_workload(std::move(base_cfg), w, 1,
                                               scale);
 
     for (bool tls_sweep : {false, true}) {
-      auto cfg = make_config(profile, {"HTM-16", 16}, fault_cfg, stm_cfg);
+      auto cfg = h.config_without_gc(profile, "HTM-16");
       cfg.heap.initial_slots = 90'000;
       cfg.heap.thread_local_sweep = tls_sweep;
       cfg.heap.sweep_deal_threads = threads + 1;
-      parse_gc_flags(flags, cfg.heap);
+      h.apply_gc(cfg.heap);
       cfg.heap.thread_local_sweep = tls_sweep;  // the variant axis wins
-      observe(cfg, sink,
-              {{"figure", "extension_threadlocal_sweep"},
-               {"machine", profile.machine.name},
-               {"workload", name},
-               {"threads", std::to_string(threads)},
-               {"config",
-                tls_sweep ? "thread-local sweep" : "global free list"}});
-      const auto p =
-          workloads::run_workload(std::move(cfg), w, threads, scale);
+      const auto p = h.run(
+          std::move(cfg), w,
+          {tls_sweep ? "thread-local sweep" : "global free list", threads,
+           scale});
       table.add_row(
           {name, tls_sweep ? "thread-local sweep" : "global free list",
            TablePrinter::num(base.elapsed_us / p.elapsed_us, 2),

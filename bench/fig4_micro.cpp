@@ -1,7 +1,7 @@
 // Fig. 4 (+ §5.3): the While and Iterator embarrassingly parallel
 // micro-benchmarks. GIL stays flat; the best HTM configuration reaches a
 // ~10-11x speedup over the 1-thread GIL at 12 threads on zEC12.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -13,15 +13,8 @@ int main(int argc, char** argv) {
   const auto scale =
       static_cast<unsigned>(flags.get_int("scale", quick ? 1 : 2));
   const std::string machine = flags.get("machine", "zec12");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
-
-  const auto profile = htm::SystemProfile::by_name(machine);
+  Harness h(flags, "fig4_micro");
+  const auto profile = h.machine(machine);
 
   for (const workloads::Workload* w :
        {&workloads::micro_while(), &workloads::micro_iterator()}) {
@@ -29,27 +22,15 @@ int main(int argc, char** argv) {
               << " (throughput normalized to 1-thread GIL) ==\n";
     TablePrinter table({"threads", "GIL", "HTM-1", "HTM-16", "HTM-dynamic"});
 
-    auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg, &flags);
-    record.wire(base_cfg, w->name, "GIL", 1, scale);
-    const auto base =
-        workloads::run_workload(std::move(base_cfg), *w, 1, scale);
-    const double base_elapsed = base.elapsed_us;
+    const double base_elapsed =
+        h.run_base(h.config(profile, "GIL"), *w, {"GIL", 1, scale})
+            .elapsed_us;
 
     for (unsigned threads : thread_counts(profile, quick)) {
       std::vector<std::string> row = {std::to_string(threads)};
-      for (const NamedConfig& nc :
-           {NamedConfig{"GIL", 0}, NamedConfig{"HTM-1", 1},
-            NamedConfig{"HTM-16", 16}, NamedConfig{"HTM-dynamic", -1}}) {
-        auto cfg = make_config(profile, nc, fault_cfg, stm_cfg, &flags);
-        record.wire(cfg, w->name, nc.name, threads, scale);
-        observe(cfg, sink,
-                {{"figure", "fig4_micro"},
-                 {"machine", profile.machine.name},
-                 {"workload", w->name},
-                 {"threads", std::to_string(threads)},
-                 {"config", nc.name}});
+      for (const char* name : {"GIL", "HTM-1", "HTM-16", "HTM-dynamic"}) {
         const auto p =
-            workloads::run_workload(std::move(cfg), *w, threads, scale);
+            h.run(h.config(profile, name), *w, {name, threads, scale});
         // Per-thread work is fixed, so total work grows with threads:
         // throughput = threads * (base time / time).
         row.push_back(TablePrinter::num(

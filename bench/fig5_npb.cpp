@@ -7,7 +7,7 @@
 // GIL fallback), HTM-1 burdened by begin/end overhead, HTM-16 best among
 // fixed lengths on zEC12 but hurt by SMT capacity halving beyond 4 threads
 // on the Xeon.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -19,41 +19,25 @@ int main(int argc, char** argv) {
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const std::string machine = flags.get("machine", "zec12");
   const std::string only = flags.get("benchmarks", "");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
-
-  const auto profile = htm::SystemProfile::by_name(machine);
+  Harness h(flags, "fig5_npb");
+  const auto profile = h.machine(machine);
 
   for (const workloads::Workload& w : workloads::npb_workloads()) {
     if (!only.empty() && only.find(w.name) == std::string::npos) continue;
     std::cout << "== Fig.5 " << w.name << " on " << profile.machine.name
               << " (throughput, 1 = 1-thread GIL) ==\n";
     std::vector<std::string> headers = {"threads"};
-    for (const auto& nc : paper_configs()) headers.push_back(nc.name);
+    for (const std::string& name : paper_configs()) headers.push_back(name);
     TablePrinter table(headers);
 
-    auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg, &flags);
-    record.wire(base_cfg, w.name, "GIL", 1, scale);
-    const auto base = workloads::run_workload(std::move(base_cfg), w, 1, scale);
+    const auto base =
+        h.run_base(h.config(profile, "GIL"), w, {"GIL", 1, scale});
 
     for (unsigned threads : thread_counts(profile, quick)) {
       std::vector<std::string> row = {std::to_string(threads)};
-      for (const auto& nc : paper_configs()) {
-        auto cfg = make_config(profile, nc, fault_cfg, stm_cfg, &flags);
-        record.wire(cfg, w.name, nc.name, threads, scale);
-        observe(cfg, sink,
-                {{"figure", "fig5_npb"},
-                 {"machine", profile.machine.name},
-                 {"workload", w.name},
-                 {"threads", std::to_string(threads)},
-                 {"config", nc.name}});
+      for (const std::string& name : paper_configs()) {
         const auto p =
-            workloads::run_workload(std::move(cfg), w, threads, scale);
+            h.run(h.config(profile, name), w, {name, threads, scale});
         row.push_back(
             TablePrinter::num(base.elapsed_us / p.elapsed_us, 2));
       }

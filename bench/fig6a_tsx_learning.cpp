@@ -7,19 +7,15 @@
 // optimistic again.
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
-#include "bench/bench_common.hpp"
-#include "common/cli.hpp"
-#include "common/table.hpp"
+#include "bench/harness.hpp"
 #include "fault/fault_injector.hpp"
 #include "htm/htm.hpp"
-#include "htm/profile.hpp"
 #include "obs/observer.hpp"
-#include "obs/sink.hpp"
 
 using namespace gilfree;
+using namespace gilfree::bench;
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
@@ -27,19 +23,12 @@ int main(int argc, char** argv) {
   const auto iters_per_size =
       static_cast<u32>(flags.get_int("iters", 10'000));
   const auto report_every = static_cast<u32>(flags.get_int("every", 500));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  fault::FaultConfig fault_cfg;
-  try {
-    fault_cfg = fault::FaultConfig::from_flags(flags);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  // This probe has no Engine (raw HtmFacility, host buffer), so there is no
-  // guest space to rebase and nothing replayable; the wiring exists for the
-  // uniform strict --record-* CLI.
-  const bench::RecordWiring record(flags);
-  flags.reject_unknown();
+  // This probe has no Engine (raw HtmFacility, host buffer): it takes the
+  // fault campaign, but no STM tier or heap, and records nothing; --record-*
+  // is taken for the uniform strict CLI.
+  Harness h(flags, "fig6a_tsx_learning", Harness::kFault | Harness::kRecord);
+  obs::Sink& sink = h.sink();
+  const fault::FaultConfig& fault_cfg = h.fault();
 
   const auto profile = htm::SystemProfile::xeon_e3();
   sim::Machine machine(profile.machine);
@@ -110,11 +99,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (csv) {
-    std::cout << table.to_csv();
-  } else {
-    std::cout << table.to_string();
-  }
+  emit(table, csv);
 
   if (obs) {
     auto m = obs->finalize();

@@ -2,7 +2,7 @@
 // long enough for both the TSX learning machinery and the dynamic length
 // adjustment to reach steady state, HTM-dynamic catches and passes the
 // fixed-length configurations.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -13,13 +13,7 @@ int main(int argc, char** argv) {
   const bool quick = flags.get_bool("quick", false);
   const auto scale =
       static_cast<unsigned>(flags.get_int("scale", quick ? 2 : 4));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "fig6b_bt_classw");
 
   const auto profile = htm::SystemProfile::xeon_e3();
   const workloads::Workload& w = workloads::npb("BT");
@@ -27,26 +21,15 @@ int main(int argc, char** argv) {
   std::cout << "== Fig.6b BT class-W-like (scale=" << scale << ") on "
             << profile.machine.name << " ==\n";
   std::vector<std::string> headers = {"threads"};
-  for (const auto& nc : paper_configs()) headers.push_back(nc.name);
+  for (const std::string& name : paper_configs()) headers.push_back(name);
   TablePrinter table(headers);
 
-  auto base_cfg = make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg, &flags);
-  record.wire(base_cfg, w.name, "GIL", 1, scale);
-  const auto base = workloads::run_workload(std::move(base_cfg), w, 1, scale);
+  const auto base = h.run_base(h.config(profile, "GIL"), w, {"GIL", 1, scale});
 
   for (unsigned threads : thread_counts(profile, quick)) {
     std::vector<std::string> row = {std::to_string(threads)};
-    for (const auto& nc : paper_configs()) {
-      auto cfg = make_config(profile, nc, fault_cfg, stm_cfg, &flags);
-      record.wire(cfg, w.name, nc.name, threads, scale);
-      observe(cfg, sink,
-              {{"figure", "fig6b_bt_classw"},
-               {"machine", profile.machine.name},
-               {"workload", w.name},
-               {"threads", std::to_string(threads)},
-               {"config", nc.name}});
-      const auto p =
-          workloads::run_workload(std::move(cfg), w, threads, scale);
+    for (const std::string& name : paper_configs()) {
+      const auto p = h.run(h.config(profile, name), w, {name, threads, scale});
       row.push_back(TablePrinter::num(base.elapsed_us / p.elapsed_us, 2));
     }
     table.add_row(row);

@@ -1,7 +1,7 @@
 // Fig. 8 (left, middle): abort ratios of HTM-dynamic across the NPB on both
 // machines, per thread count. Paper shape: mostly below ~2% on zEC12
 // (1% target ratio) and below ~7% on the Xeon (6% target).
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -11,13 +11,7 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const bool quick = flags.get_bool("quick", false);
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "fig8_abort_ratios");
 
   for (const char* machine : {"zec12", "xeon"}) {
     const auto profile = htm::SystemProfile::by_name(machine);
@@ -31,15 +25,8 @@ int main(int argc, char** argv) {
       if (threads == 1) continue;  // single-threaded runs use the GIL
       std::vector<std::string> row = {std::to_string(threads)};
       for (const auto& w : workloads::npb_workloads()) {
-        auto cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
-        record.wire(cfg, w.name, "HTM-dynamic", threads, scale);
-        observe(cfg, sink,
-                {{"figure", "fig8_abort_ratios"},
-                 {"machine", profile.machine.name},
-                 {"workload", w.name},
-                 {"threads", std::to_string(threads)},
-                 {"config", "HTM-dynamic"}});
-        const auto p = workloads::run_workload(std::move(cfg), w, threads, scale);
+        const auto p = h.run(h.config(profile, "HTM-dynamic"), w,
+                             {"HTM-dynamic", threads, scale});
         row.push_back(TablePrinter::num(100.0 * p.stats.abort_ratio(), 2));
       }
       table.add_row(row);

@@ -3,7 +3,7 @@
 // execution, aborted (discarded) transactions, and waiting for GIL release.
 // Paper observation: GIL-release waiting exceeds the cycles wasted in
 // aborted transactions.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -13,13 +13,7 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 12));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "fig8_cycle_breakdown");
 
   const auto profile = htm::SystemProfile::zec12();
   std::cout << "== Fig.8 cycle breakdown, HTM-dynamic @" << threads
@@ -29,15 +23,8 @@ int main(int argc, char** argv) {
                       "blocked_io", "other"});
 
   for (const auto& w : workloads::npb_workloads()) {
-    auto cfg = make_config(profile, {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
-    record.wire(cfg, w.name, "HTM-dynamic", threads, scale);
-    observe(cfg, sink,
-            {{"figure", "fig8_cycle_breakdown"},
-             {"machine", profile.machine.name},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", "HTM-dynamic"}});
-    const auto p = workloads::run_workload(std::move(cfg), w, threads, scale);
+    const auto p = h.run(h.config(profile, "HTM-dynamic"), w,
+                         {"HTM-dynamic", threads, scale});
     const auto& b = p.stats.breakdown;
     const double total = static_cast<double>(b.total());
     auto pct = [&](Cycles c) {

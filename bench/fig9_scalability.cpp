@@ -5,7 +5,7 @@
 // Paper shape: even the Java NPB hits per-program scalability ceilings;
 // HTM-dynamic tracks those ceilings, averaging ~3.6x at 12 threads, about
 // the same as JRuby's ~3.5x.
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -15,15 +15,9 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const bool quick = flags.get_bool("quick", false);
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
   // HTM-dynamic runs are replayable; the FineGrained/Unsynced engines have
-  // no record-header spelling and get the address mode only.
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  // no record-header spelling and are never recorded.
+  Harness h(flags, "fig9_scalability");
 
   const auto profile = htm::SystemProfile::zec12();
 
@@ -50,31 +44,16 @@ int main(int argc, char** argv) {
 
     std::vector<double> base;
     for (const auto& w : workloads::npb_workloads()) {
-      auto bcfg = kind.make(profile);
-      bcfg.fault = fault_cfg;
-      bcfg.stm = stm_cfg;
-      parse_gc_flags(flags, bcfg.heap);
-      record.wire(bcfg, w.name, kind.name, 1, scale);
       base.push_back(
-          workloads::run_workload(std::move(bcfg), w, 1, scale).elapsed_us);
+          h.run_base(h.config(kind.make(profile)), w, {kind.name, 1, scale})
+              .elapsed_us);
     }
     for (unsigned threads : thread_counts(profile, quick)) {
       std::vector<std::string> row = {std::to_string(threads)};
       std::size_t i = 0;
       for (const auto& w : workloads::npb_workloads()) {
-        auto cfg = kind.make(profile);
-        cfg.fault = fault_cfg;
-        cfg.stm = stm_cfg;
-        parse_gc_flags(flags, cfg.heap);
-        record.wire(cfg, w.name, kind.name, threads, scale);
-        observe(cfg, sink,
-                {{"figure", "fig9_scalability"},
-                 {"machine", profile.machine.name},
-                 {"workload", w.name},
-                 {"threads", std::to_string(threads)},
-                 {"config", kind.name}});
-        const auto p =
-            workloads::run_workload(std::move(cfg), w, threads, scale);
+        const auto p = h.run(h.config(kind.make(profile)), w,
+                             {kind.name, threads, scale});
         const double speedup = base[i] / p.elapsed_us;
         row.push_back(TablePrinter::num(speedup, 2));
         if (threads == profile.machine.num_cpus()) {

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <map>
 
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -70,17 +70,13 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 4));
   const std::string workload = flags.get("workload", "BT");
   const std::string json_path = flags.get("json", "");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
+  // Every variant mutates the heap beyond what a record header carries, so
+  // this driver takes --record-* (strict CLI) but never records.
+  Harness h(flags, "gc_scaling");
   // --gc-* overrides apply on top of each variant's feature selection
   // (segment sizes, adaptation windows, sweep quantum).
   vm::HeapConfig gc_overrides;
-  parse_gc_flags(flags, gc_overrides);
-  // Every variant mutates the heap beyond what a record header carries, so
-  // this harness takes --record-* (strict CLI) but never records.
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  h.apply_gc(gc_overrides);
 
   const auto profile = htm::SystemProfile::zec12();
   const auto& w = workloads::npb(workload);
@@ -100,7 +96,7 @@ int main(int argc, char** argv) {
   };
 
   const auto base = workloads::run_workload(
-      pressured(make_config(profile, {"GIL", 0}, fault_cfg, stm_cfg)), w, 1, scale);
+      pressured(h.config_without_gc(profile, "GIL")), w, 1, scale);
 
   const Variant variants[] = {
       {"global-list", false, 0, vm::HeapConfig::SweepDeal::kRoundRobin, false},
@@ -122,7 +118,7 @@ int main(int argc, char** argv) {
                       "alloc_conflict_share", "pause_max", "sweep_quanta"});
   for (const Variant& v : variants) {
     for (bool lazy : {false, true}) {
-      auto cfg = pressured(make_config(profile, {"HTM-16", 16}, fault_cfg, stm_cfg));
+      auto cfg = pressured(h.config_without_gc(profile, "HTM-16"));
       cfg.heap.thread_local_free_lists = v.local_lists;
       cfg.heap.sweep_deal_threads = v.deal_threads;
       cfg.heap.sweep_deal_policy = v.policy;
@@ -131,12 +127,9 @@ int main(int argc, char** argv) {
       cfg.heap.nursery = v.nursery;
       cfg.heap.mark_quantum = v.mark_quantum;
       cfg.heap.arena_steal = v.steal;
-      observe(cfg, sink,
-              {{"figure", "gc_scaling"},
-               {"machine", profile.machine.name},
-               {"workload", workload},
-               {"threads", std::to_string(threads)},
-               {"config", std::string(v.name) + (lazy ? "/lazy" : "/eager")}});
+      h.prepare(cfg, workload,
+                {std::string(v.name) + (lazy ? "/lazy" : "/eager"), threads,
+                 scale});
       runtime::Engine engine(std::move(cfg));
       engine.load_program(workloads::sources_for(w, threads, scale));
       engine.htm()->set_collect_conflicts(true);

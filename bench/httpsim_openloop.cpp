@@ -8,7 +8,9 @@
 //
 // Everything is deterministic: the same --load-seed/--seed pair reproduces
 // the arrival schedule, the request log, and the trace byte-for-byte.
-#include "bench/bench_common.hpp"
+#include <algorithm>
+
+#include "bench/harness.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/server_programs.hpp"
 
@@ -40,37 +42,16 @@ int main(int argc, char** argv) {
   const std::string config_name = flags.get("config", "HTM-dynamic");
   const std::string program_name = flags.get("program", "webrick");
   const u64 seed = static_cast<u64>(flags.get_int("seed", 0x6112024));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  httpsim::DriverConfig driver_cfg;
-  httpsim::ShardOptions shard_opts;
-  try {
-    driver_cfg = httpsim::DriverConfig::from_flags(flags);
-    shard_opts = httpsim::ShardOptions::from_flags(flags);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  const auto driver_cfg =
+      or_exit([&] { return httpsim::DriverConfig::from_flags(flags); });
+  const auto shard_opts =
+      or_exit([&] { return httpsim::ShardOptions::from_flags(flags); });
+  Harness h(flags, "httpsim_openloop");
+  const auto profile = h.machine(machine);
 
-  htm::SystemProfile profile = htm::SystemProfile::zec12();
-  if (machine == "xeon" || machine == "xeon_e3") {
-    profile = htm::SystemProfile::xeon_e3();
-  } else if (machine != "zec12") {
-    std::cerr << "error: --machine must be zec12 or xeon\n";
-    return 2;
-  }
-
-  const NamedConfig* nc = nullptr;
   const auto configs = paper_configs();
-  for (const auto& c : configs) {
-    if (c.name == config_name) nc = &c;
-  }
-  if (nc == nullptr) {
+  if (std::find(configs.begin(), configs.end(), config_name) ==
+      configs.end()) {
     std::cerr << "error: --config must be one of GIL, HTM-1, HTM-16, "
                  "HTM-256, HTM-dynamic\n";
     return 2;
@@ -86,24 +67,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto cfg = make_config(profile, *nc, fault_cfg, stm_cfg, &flags);
+  auto cfg = h.config(profile, config_name);
   cfg.seed = seed;
-  // httpsim phases are not replayable; this applies the address mode only.
-  record.wire(cfg, program_name, nc->name, shard_opts.shards, 1);
-
-  std::map<std::string, std::string> labels = {
-      {"figure", "httpsim_openloop"},
-      {"machine", profile.machine.name},
-      {"workload", program_name},
-      {"config", nc->name},
-      {"arrival", std::string(httpsim::arrival_name(driver_cfg.arrival))},
-  };
   const auto result = httpsim::run_sharded(
-      cfg, program, driver_cfg, shard_opts,
-      sink.enabled() ? &sink : nullptr, labels);
+      cfg, program, driver_cfg, shard_opts, h.sink_or_null(),
+      h.labels(cfg, {{"workload", program_name},
+                     {"config", config_name},
+                     {"arrival", std::string(httpsim::arrival_name(
+                                     driver_cfg.arrival))}}));
 
   std::cout << "== httpsim open-loop: " << program_name << " / "
-            << profile.machine.name << " / " << nc->name
+            << profile.machine.name << " / " << config_name
             << " arrival=" << httpsim::arrival_name(driver_cfg.arrival)
             << " rps=" << driver_cfg.rps << " shards=" << shard_opts.shards
             << " router=" << httpsim::router_name(shard_opts.router)

@@ -35,7 +35,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/server_programs.hpp"
 
@@ -134,8 +134,7 @@ void append_httpsim_json(std::ostringstream& os, const char* key,
 
 int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
               unsigned scale, unsigned threads, u64 fault_seed,
-              const std::string& json_path, obs::Sink& sink,
-              const CliFlags& flags, RecordWiring& record) {
+              const std::string& json_path, Harness& h) {
   const auto faults = chaos_faults(fault_seed);
   const std::vector<const workloads::Workload*> kernels = {
       &workloads::micro_while(), &workloads::npb("BT"),
@@ -148,19 +147,14 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
     double base_us = 0.0;
     double base_verify = 0.0;
     for (const ChaosFault& f : faults) {
-      auto cfg = make_config(profile, {"HTM-dynamic", -1}, f.fc, f.stm, &flags);
-      record.wire(cfg, w->name, "HTM-dynamic", threads, scale);
-      observe(cfg, sink,
-              {{"figure", "chaos_campaign"},
-               {"machine", profile.machine.name},
-               {"workload", w->name},
-               {"threads", std::to_string(threads)},
-               {"config", "HTM-dynamic"},
-               {"phase", f.name}});
+      auto cfg = h.config(profile, "HTM-dynamic");
+      cfg.fault = f.fc;
+      cfg.stm = f.stm;
       ChaosCell cell;
       cell.workload = w->name;
       cell.phase = f.name;
-      cell.p = workloads::run_workload(std::move(cfg), *w, threads, scale);
+      cell.p = h.run(std::move(cfg), *w,
+                     {"HTM-dynamic", threads, scale, f.name});
       if (f.name == "fault-free") {
         base_us = cell.p.elapsed_us;
         base_verify = cell.p.verify;
@@ -218,18 +212,14 @@ int run_chaos(const htm::SystemProfile& profile, bool csv, bool quick,
 
   auto run_httpsim = [&](const std::string& phase,
                          const fault::FaultConfig& fc) {
-    auto cfg = make_config(profile, {"HTM-dynamic", -1}, fc, {}, &flags);
-    // httpsim phases are not replayable; this applies the address mode only.
-    record.wire(cfg, "webrick", "HTM-dynamic", sopt.shards, scale);
-    std::map<std::string, std::string> labels = {
-        {"figure", "chaos_campaign"},
-        {"machine", profile.machine.name},
-        {"workload", "webrick"},
-        {"config", "HTM-dynamic"},
-        {"phase", phase}};
-    if (sink.enabled()) sink.next_labels(labels);
-    return httpsim::run_sharded(cfg, program, dcfg, sopt,
-                                sink.enabled() ? &sink : nullptr, labels);
+    auto cfg = h.config(profile, "HTM-dynamic");
+    cfg.fault = fc;
+    cfg.stm = {};
+    return httpsim::run_sharded(
+        cfg, program, dcfg, sopt, h.sink_or_null(),
+        h.labels(cfg, {{"workload", "webrick"},
+                       {"config", "HTM-dynamic"},
+                       {"phase", phase}}));
   };
 
   // The worst fault phase of the matrix for a serving shard: every TBEGIN
@@ -351,43 +341,29 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(flags.get_int("scale", quick ? 1 : 2));
   const std::string machine = flags.get("machine", "zec12");
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 4));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig custom = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, chaos ? "chaos_campaign" : "robustness_campaign");
   if (!json_path.empty() && !chaos) {
     std::cerr << "error: --json requires --chaos\n";
     return 2;
   }
 
-  const auto profile = htm::SystemProfile::by_name(machine);
+  const auto profile = h.machine(machine);
   if (chaos)
-    return run_chaos(profile, csv, quick, scale, threads, custom.seed,
-                     json_path, sink, flags, record);
+    return run_chaos(profile, csv, quick, scale, threads, h.fault().seed,
+                     json_path, h);
   const workloads::Workload& w = workloads::micro_while();
 
-  auto run_phase = [&](const std::string& name, const NamedConfig& nc,
+  auto run_phase = [&](const std::string& name, const std::string& config,
                        const fault::FaultConfig& fc) {
-    auto cfg = make_config(profile, nc, fc, stm_cfg, &flags);
-    record.wire(cfg, w.name, nc.name, threads, scale);
-    observe(cfg, sink,
-            {{"figure", "robustness_campaign"},
-             {"machine", profile.machine.name},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", nc.name},
-             {"phase", name}});
-    return PhaseResult{name, workloads::run_workload(std::move(cfg), w,
-                                                     threads, scale),
-                       fc};
+    auto cfg = h.config(profile, config);
+    cfg.fault = fc;
+    return PhaseResult{
+        name, h.run(std::move(cfg), w, {config, threads, scale, name}), fc};
   };
 
   std::vector<PhaseResult> phases;
-  phases.push_back(run_phase("gil-baseline", {"GIL", 0}, {}));
-  phases.push_back(run_phase("htm-fault-free", {"HTM-dynamic", -1}, {}));
+  phases.push_back(run_phase("gil-baseline", "GIL", {}));
+  phases.push_back(run_phase("htm-fault-free", "HTM-dynamic", {}));
   const double gil_us = phases[0].p.elapsed_us;
   const double htm_us = phases[1].p.elapsed_us;
   const Cycles htm_cycles = phases[1].p.stats.total_cycles;
@@ -395,15 +371,14 @@ int main(int argc, char** argv) {
   for (Cycles mean : std::vector<Cycles>{200'000, 50'000, 10'000}) {
     fault::FaultConfig fc;
     fc.spurious_mean_cycles = mean;
-    phases.push_back(run_phase("spurious-" + std::to_string(mean),
-                               {"HTM-dynamic", -1}, fc));
+    phases.push_back(
+        run_phase("spurious-" + std::to_string(mean), "HTM-dynamic", fc));
   }
 
   {
     fault::FaultConfig fc;
     fc.persistent_all_yps = true;
-    phases.push_back(
-        run_phase("persistent-all", {"HTM-dynamic", -1}, fc));
+    phases.push_back(run_phase("persistent-all", "HTM-dynamic", fc));
   }
 
   {
@@ -412,12 +387,11 @@ int main(int argc, char** argv) {
     fault::FaultConfig fc;
     fc.persistent_all_yps = true;
     fc.persistent_window.until = htm_cycles / 3;
-    phases.push_back(
-        run_phase("persistent-window", {"HTM-dynamic", -1}, fc));
+    phases.push_back(run_phase("persistent-window", "HTM-dynamic", fc));
   }
 
-  if (custom.enabled())
-    phases.push_back(run_phase("custom", {"HTM-dynamic", -1}, custom));
+  if (h.fault().enabled())
+    phases.push_back(run_phase("custom", "HTM-dynamic", h.fault()));
 
   std::cout << "== Robustness campaign: " << w.name << " on "
             << profile.machine.name << ", " << threads

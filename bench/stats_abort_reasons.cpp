@@ -5,7 +5,7 @@
 // memory region of the conflicting cache line.
 #include <map>
 
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 #include "httpsim/bench_server.hpp"
 #include "httpsim/server_programs.hpp"
 
@@ -56,24 +56,12 @@ int main(int argc, char** argv) {
   const bool csv = flags.get_bool("csv", false);
   const auto scale = static_cast<unsigned>(flags.get_int("scale", 1));
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 12));
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
-  const fault::FaultConfig fault_cfg = parse_fault_flags(flags);
-  const stm::StmConfig stm_cfg = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
+  Harness h(flags, "stats_abort_reasons");
 
   // NPB on zEC12 with HTM-dynamic.
   for (const auto& w : workloads::npb_workloads()) {
-    auto cfg = make_config(htm::SystemProfile::zec12(), {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
-    record.wire(cfg, w.name, "HTM-dynamic", threads, scale);
-    observe(cfg, sink,
-            {{"figure", "stats_abort_reasons"},
-             {"machine", "zEC12"},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", "HTM-dynamic"}});
+    auto cfg = h.config(htm::SystemProfile::zec12(), "HTM-dynamic");
+    h.prepare(cfg, w.name, {"HTM-dynamic", threads, scale});
     runtime::Engine engine(std::move(cfg));
     engine.load_program(workloads::sources_for(w, threads, scale));
     engine.htm()->set_collect_conflicts(true);
@@ -84,19 +72,14 @@ int main(int argc, char** argv) {
 
   // Rails on the Xeon (87% overflow aborts in the paper).
   {
-    auto cfg = make_config(htm::SystemProfile::xeon_e3(), {"HTM-dynamic", -1}, fault_cfg, stm_cfg, &flags);
+    auto cfg = h.config(htm::SystemProfile::xeon_e3(), "HTM-dynamic");
     httpsim::DriverConfig d;
     d.clients = 4;
     d.total_requests = 600;
     cfg.heap.max_threads = d.total_requests + 8;
-    // httpsim phases are not replayable; this applies the address mode only.
-    record.wire(cfg, "Rails", "HTM-dynamic", d.clients, scale);
-    observe(cfg, sink,
-            {{"figure", "stats_abort_reasons"},
-             {"machine", "XeonE3-1275v3"},
-             {"workload", "Rails"},
-             {"clients", "4"},
-             {"config", "HTM-dynamic"}});
+    h.label(cfg, {{"workload", "Rails"},
+                  {"clients", "4"},
+                  {"config", "HTM-dynamic"}});
     httpsim::ClosedLoopDriver driver(d);
     runtime::Engine engine(std::move(cfg));
     engine.load_program({httpsim::rails_source()});

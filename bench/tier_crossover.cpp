@@ -25,7 +25,7 @@
 //   $ ./build/bench/tier_crossover --json=BENCH_stm.json --csv
 #include <fstream>
 
-#include "bench/bench_common.hpp"
+#include "bench/harness.hpp"
 
 using namespace gilfree;
 using namespace gilfree::bench;
@@ -48,16 +48,12 @@ int main(int argc, char** argv) {
   const std::string machine = flags.get("machine", "zec12");
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 4));
   const std::string json_path = flags.get("json", "");
-  obs::Sink sink(obs::ObsConfig::from_flags(flags));
   // --stm-commit-retry= etc. tune the STM phases; --stm / --gil-subscription
-  // themselves are implied by the phase matrix below.
-  const stm::StmConfig stm_overrides = parse_stm_flags(flags);
-  vm::HeapConfig gc_probe;   // registers --gc-* for strict CLI;
-  parse_gc_flags(flags, gc_probe);  // applied per engine via make_config
-  RecordWiring record(flags);
-  flags.reject_unknown();
-
-  const auto profile = htm::SystemProfile::by_name(machine);
+  // themselves are implied by the phase matrix below. The phases bring
+  // their own fault campaigns, so --fault-* is not taken.
+  Harness h(flags, "tier_crossover",
+            Harness::kStm | Harness::kGc | Harness::kRecord);
+  const auto profile = h.machine(machine);
   const workloads::Workload& w = workloads::micro_while();
 
   // The deterministic hostile environment: every TBEGIN at every yield
@@ -66,37 +62,29 @@ int main(int argc, char** argv) {
   fault::FaultConfig campaign;
   campaign.persistent_all_yps = true;
 
-  auto run_phase = [&](const std::string& name, const NamedConfig& nc,
+  auto run_phase = [&](const std::string& name, const std::string& config,
                        const fault::FaultConfig& fc, bool stm_on,
                        stm::GilSubscription sub) {
-    auto cfg = make_config(profile, nc, fc, {}, &flags);
-    cfg.stm = stm_overrides;
+    auto cfg = h.config(profile, config);
+    cfg.fault = fc;
     cfg.stm.enabled = stm_on;
     cfg.stm.subscription = sub;
-    // Wired after the STM mutation so the record header carries the phase's
-    // actual fault + tier state (both round-trip through to_flags).
-    record.wire(cfg, w.name, nc.name, threads, scale);
-    observe(cfg, sink,
-            {{"figure", "tier_crossover"},
-             {"machine", profile.machine.name},
-             {"workload", w.name},
-             {"threads", std::to_string(threads)},
-             {"config", nc.name},
-             {"phase", name}});
-    return PhaseResult{name, workloads::run_workload(std::move(cfg), w,
-                                                     threads, scale)};
+    // Recorded after the STM mutation so the record header carries the
+    // phase's actual fault + tier state (both round-trip through to_flags).
+    return PhaseResult{
+        name, h.run(std::move(cfg), w, {config, threads, scale, name})};
   };
 
   std::vector<PhaseResult> phases;
-  phases.push_back(run_phase("gil-baseline", {"GIL", 0}, {}, false,
+  phases.push_back(run_phase("gil-baseline", "GIL", {}, false,
                              stm::GilSubscription::kEager));
-  phases.push_back(run_phase("htm-fault-free", {"HTM-dynamic", -1}, {}, false,
+  phases.push_back(run_phase("htm-fault-free", "HTM-dynamic", {}, false,
                              stm::GilSubscription::kEager));
-  phases.push_back(run_phase("stm-off", {"HTM-dynamic", -1}, campaign, false,
+  phases.push_back(run_phase("stm-off", "HTM-dynamic", campaign, false,
                              stm::GilSubscription::kEager));
-  phases.push_back(run_phase("stm-eager", {"HTM-dynamic", -1}, campaign, true,
+  phases.push_back(run_phase("stm-eager", "HTM-dynamic", campaign, true,
                              stm::GilSubscription::kEager));
-  phases.push_back(run_phase("stm-lazy", {"HTM-dynamic", -1}, campaign, true,
+  phases.push_back(run_phase("stm-lazy", "HTM-dynamic", campaign, true,
                              stm::GilSubscription::kLazy));
 
   const double gil_us = phases[0].p.elapsed_us;

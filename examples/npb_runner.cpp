@@ -35,21 +35,25 @@ int main(int argc, char** argv) {
   }
   flags.reject_unknown();
 
-  const auto profile = htm::SystemProfile::by_name(machine);
+  htm::SystemProfile profile;
   runtime::EngineConfig cfg;
-  if (engine == "gil") {
-    cfg = runtime::EngineConfig::gil(profile);
-  } else if (engine == "dynamic") {
-    cfg = runtime::EngineConfig::htm_dynamic(profile);
-  } else if (engine == "fine") {
-    cfg = runtime::EngineConfig::fine_grained(profile);
-  } else if (engine == "unsynced") {
-    cfg = runtime::EngineConfig::unsynced(profile);
-  } else if (engine.rfind("htm-", 0) == 0) {
-    cfg = runtime::EngineConfig::htm_fixed(
-        profile, std::stoi(engine.substr(4)));
-  } else {
-    std::cerr << "unknown engine: " << engine << "\n";
+  try {
+    profile = htm::SystemProfile::by_name(machine);
+    if (engine == "fine") {
+      cfg = runtime::EngineConfig::fine_grained(profile);
+    } else if (engine == "unsynced") {
+      cfg = runtime::EngineConfig::unsynced(profile);
+    } else if (engine == "gil") {
+      cfg = runtime::engine_config(profile, "GIL");
+    } else if (engine == "dynamic") {
+      cfg = runtime::engine_config(profile, "HTM-dynamic");
+    } else if (engine.rfind("htm-", 0) == 0) {
+      cfg = runtime::engine_config(profile, "HTM-" + engine.substr(4));
+    } else {
+      throw std::invalid_argument("unknown engine: " + engine);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
   cfg.fault = fault_cfg;

@@ -5,40 +5,17 @@
 #include <stdexcept>
 
 #include "common/cli.hpp"
-#include "common/strutil.hpp"
-#include "fault/fault_config.hpp"
 #include "httpsim/cluster/epoch_loop.hpp"
 #include "httpsim/server_programs.hpp"
 #include "obs/sink.hpp"
-#include "stm/stm_config.hpp"
 
 namespace gilfree::httpsim::cluster {
 
 runtime::EngineConfig engine_config_from_init(const InitMsg& init) {
-  const htm::SystemProfile profile = htm::SystemProfile::by_name(init.machine);
-  runtime::EngineConfig cfg;
-  if (init.config == "GIL") {
-    cfg = runtime::EngineConfig::gil(profile);
-  } else if (init.config == "HTM-dynamic") {
-    cfg = runtime::EngineConfig::htm_dynamic(profile);
-  } else if (starts_with(init.config, "HTM-")) {
-    const std::string len = init.config.substr(4);
-    std::size_t pos = 0;
-    const int v = std::stoi(len, &pos);
-    if (pos != len.size() || v <= 0)
-      throw std::invalid_argument("cluster init names unknown config '" +
-                                  init.config + "'");
-    cfg = runtime::EngineConfig::htm_fixed(profile, v);
-  } else {
-    throw std::invalid_argument("cluster init names unknown config '" +
-                                init.config + "'");
-  }
+  runtime::EngineConfig cfg = runtime::engine_config(
+      htm::SystemProfile::by_name(init.machine), init.config,
+      init.engine_flags);
   cfg.seed = init.engine_seed;
-  const CliFlags flags = flags_from_strings(init.engine_flags);
-  cfg.fault = fault::FaultConfig::from_flags(flags);
-  cfg.stm = stm::StmConfig::from_flags(flags);
-  runtime::apply_gc_flags(flags, cfg.heap);
-  flags.reject_unknown();
   return cfg;
 }
 

@@ -36,7 +36,7 @@ class CliFlags;
 
 namespace gilfree::obs {
 
-/// CLI surface (strict; wired into every bench binary via bench_common):
+/// CLI surface (strict; wired into every bench binary via bench::Harness):
 ///   --record-out=FILE   write the decision stream to FILE (JSONL)
 ///   --record-limit=N    events kept per run before truncation (> 0)
 struct RecordConfig {

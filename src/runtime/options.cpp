@@ -1,9 +1,11 @@
 #include "runtime/options.hpp"
 
+#include <charconv>
 #include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/strutil.hpp"
 
 namespace gilfree::runtime {
 
@@ -87,6 +89,40 @@ void apply_gc_flags(const CliFlags& flags, vm::HeapConfig& heap) {
   if (heap.arena_idle_cycles <= heap.arena_hot_refill_cycles)
     throw std::invalid_argument(
         "--gc-arena-idle-cycles must exceed --gc-arena-hot-cycles");
+}
+
+void apply_engine_flags(EngineConfig& cfg,
+                        const std::vector<std::string>& flags) {
+  const CliFlags cli = flags_from_strings(flags);
+  cfg.fault = fault::FaultConfig::from_flags(cli);
+  cfg.stm = stm::StmConfig::from_flags(cli);
+  apply_gc_flags(cli, cfg.heap);
+  cli.reject_unknown();
+}
+
+EngineConfig engine_config(const htm::SystemProfile& profile,
+                           const std::string& name,
+                           const std::vector<std::string>& flags) {
+  EngineConfig cfg;
+  if (name == "GIL") {
+    cfg = EngineConfig::gil(profile);
+  } else if (name == "HTM-dynamic") {
+    cfg = EngineConfig::htm_dynamic(profile);
+  } else {
+    // HTM-<n>: a whole decimal number (from_chars takes no '+', space or
+    // suffix), n > 0.
+    const std::string len = starts_with(name, "HTM-") ? name.substr(4) : "";
+    i32 n = 0;
+    const auto [end, ec] =
+        std::from_chars(len.data(), len.data() + len.size(), n);
+    if (ec != std::errc() || end != len.data() + len.size() || n <= 0)
+      throw std::invalid_argument(
+          "unknown engine config '" + name +
+          "' (expected GIL, HTM-dynamic or HTM-<n> with n > 0)");
+    cfg = EngineConfig::htm_fixed(profile, n);
+  }
+  apply_engine_flags(cfg, flags);
+  return cfg;
 }
 
 }  // namespace gilfree::runtime

@@ -2,6 +2,9 @@
 // on which simulated machine, with which paper options.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "fault/fault_config.hpp"
 #include "htm/profile.hpp"
 #include "stm/stm_config.hpp"
@@ -133,5 +136,22 @@ struct EngineConfig {
 /// (CliFlags' own exit-2 / throw behaviour covers malformed numbers and
 /// unknown flags via reject_unknown()).
 void apply_gc_flags(const CliFlags& flags, vm::HeapConfig& heap);
+
+/// Applies an engine flag list (the --fault-*, --stm* / --gil-subscription
+/// and --gc-* families, as "--name=value" strings) to `cfg`: the fault
+/// campaign and the STM tier are rebuilt from the list, and the --gc-*
+/// flags apply on top of the existing heap config. Throws
+/// std::invalid_argument on a bad value or on a flag outside those families.
+void apply_engine_flags(EngineConfig& cfg,
+                        const std::vector<std::string>& flags);
+
+/// The engine configuration a canonical config name stands for on
+/// `profile` — "GIL", "HTM-dynamic" or "HTM-<n>" with n > 0 — with
+/// apply_engine_flags(flags). Any other name throws std::invalid_argument.
+/// Record headers, cluster Init frames and the figure drivers all build
+/// their engines here.
+EngineConfig engine_config(const htm::SystemProfile& profile,
+                           const std::string& name,
+                           const std::vector<std::string>& flags = {});
 
 }  // namespace gilfree::runtime

@@ -136,15 +136,7 @@ Heap::Heap(const HeapConfig& config) : config_(config) {
   }
 
   // ---- spill region ----
-  const u64 first_spill_slots = 4ull << 20;  // 32 MB
-  spill_blocks_.push_back(make_zeroed<u64>(first_spill_slots + 32));
-  spill_bump_ = align_up(spill_blocks_.back().get(), kLineAlign);
-  spill_end_ = spill_blocks_.back().get() + first_spill_slots;
-  if (config_.guest_space != nullptr) {
-    config_.guest_space->add_segment(
-        "spill-0", spill_bump_,
-        static_cast<u64>(spill_end_ - spill_bump_) * 8);
-  }
+  add_spill_block(4ull << 20);  // 32 MB
 }
 
 Heap::~Heap() = default;
@@ -759,14 +751,19 @@ void Heap::grow_spill_region(Host& host, u32 needed_slots) {
   // Growing swaps C++-level pointers that a transaction rollback could not
   // undo, so it must happen outside transactions.
   host.require_nontx("malloc-grow");
-  const u64 slots = std::max<u64>(4ull << 20, u64{needed_slots} + 32);
-  spill_blocks_.push_back(make_zeroed<u64>(slots + 32));
+  add_spill_block(std::max<u64>(4ull << 20, u64{needed_slots} + 32));
+}
+
+void Heap::add_spill_block(u64 slots) {
+  // The capacity counts from the line-aligned base, so where the host maps
+  // the block cannot move the point at which the region next grows.
+  spill_blocks_.push_back(make_zeroed<u64>(slots + kLineAlign / 8));
   spill_bump_ = align_up(spill_blocks_.back().get(), kLineAlign);
-  spill_end_ = spill_blocks_.back().get() + slots;
+  spill_end_ = spill_bump_ + slots;
   if (config_.guest_space != nullptr) {
     config_.guest_space->add_segment(
         "spill-" + std::to_string(spill_blocks_.size() - 1), spill_bump_,
-        static_cast<u64>(spill_end_ - spill_bump_) * 8);
+        slots * 8);
   }
 }
 

@@ -351,6 +351,9 @@ class Heap {
   /// Number of u64 slots of spill memory in use (for tests).
   u64 spill_slots_allocated() const { return spill_slots_allocated_; }
 
+  /// Number of spill blocks mapped so far; above 1 once the region grew.
+  std::size_t spill_block_count() const { return spill_blocks_.size(); }
+
   /// Diagnostic: which memory region an address belongs to ("gil-word",
   /// "free-list-head", "tcb", "ic", "arena", "spill", ...).
   std::string describe_address(const void* addr) const;
@@ -405,6 +408,7 @@ class Heap {
   void note_line_owner_range(RBasic* s, u64 n, u32 tid);
   u64 pop_or_carve_chunk(Host& host, u32 cls);
   void grow_spill_region(Host& host, u32 needed_slots);
+  void add_spill_block(u64 slots);
   void mark_value(Value v, std::vector<RBasic*>& stack);
   void mark_object(RBasic* o, std::vector<RBasic*>& stack);
   /// Enumerates every Value-bearing slot of `o` (direct reads — GC and

@@ -77,38 +77,13 @@ runtime::EngineConfig config_from_recorded(const obs::RecordedRun& recorded,
   if (*workload == nullptr)
     throw std::invalid_argument("record header names unknown workload '" +
                                 wname + "'");
-  const htm::SystemProfile profile =
-      htm::SystemProfile::by_name(scenario_key(recorded, "machine"));
-
-  const std::string& cname = scenario_key(recorded, "config");
-  runtime::EngineConfig cfg;
-  if (cname == "GIL") {
-    cfg = runtime::EngineConfig::gil(profile);
-  } else if (cname == "HTM-dynamic") {
-    cfg = runtime::EngineConfig::htm_dynamic(profile);
-  } else if (starts_with(cname, "HTM-")) {
-    const std::string len = cname.substr(4);
-    std::size_t pos = 0;
-    const int v = std::stoi(len, &pos);
-    if (pos != len.size() || v <= 0)
-      throw std::invalid_argument("record header names unknown config '" +
-                                  cname + "'");
-    cfg = runtime::EngineConfig::htm_fixed(profile, v);
-  } else {
-    throw std::invalid_argument("record header names unknown config '" +
-                                cname + "'");
-  }
-
+  runtime::EngineConfig cfg = runtime::engine_config(
+      htm::SystemProfile::by_name(scenario_key(recorded, "machine")),
+      scenario_key(recorded, "config"), recorded.flags);
   *threads = static_cast<unsigned>(
       std::stoul(scenario_key(recorded, "threads")));
   *scale = static_cast<unsigned>(std::stoul(scenario_key(recorded, "scale")));
   cfg.seed = std::stoull(scenario_key(recorded, "seed"));
-
-  const CliFlags flags = flags_from_strings(recorded.flags);
-  cfg.fault = fault::FaultConfig::from_flags(flags);
-  cfg.stm = stm::StmConfig::from_flags(flags);
-  runtime::apply_gc_flags(flags, cfg.heap);
-  flags.reject_unknown();
   return cfg;
 }
 

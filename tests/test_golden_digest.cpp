@@ -57,7 +57,8 @@ struct Digests {
 };
 
 Digests run_digests(EngineConfig cfg, const std::string& source,
-                    runtime::RunStats* stats = nullptr) {
+                    runtime::RunStats* stats = nullptr,
+                    std::size_t* spill_blocks = nullptr) {
   obs::ObsConfig oc;
   // Keyed by test name: ctest -j runs this suite's tests as concurrent
   // processes, and a shared path races (write / read-back / remove).
@@ -74,6 +75,8 @@ Digests run_digests(EngineConfig cfg, const std::string& source,
     engine.load_program({source});
     const runtime::RunStats s = engine.run();
     if (stats != nullptr) *stats = s;
+    if (spill_blocks != nullptr)
+      *spill_blocks = engine.heap().spill_block_count();
     sink.flush();
     d.metrics = httpsim::cluster::fnv1a64(obs::metrics_to_json(sink.runs()));
   }
@@ -243,6 +246,41 @@ TEST(GoldenDigest, CapacityClipCampaignMatchesRecordedDigests) {
                    0xe756d8b55513b5b5ULL};
   const auto s = expect_pin(std::move(cfg), testutil::random_program(3), pin);
   EXPECT_GT(s.faults.count(fault::FaultKind::kCapacity), 0u);
+}
+
+// Four threads keep 48 arrays of 120 000 slots alive, 6.3M slots of
+// power-of-two spill chunks against a 4M-slot first block, so the spill
+// region grows (a non-transactional "malloc-grow" abort under HTM). The
+// capacity of each block counts from its line-aligned base, so where the
+// host maps the block cannot move the growth point.
+constexpr const char* kSpillGrowthProgram = R"(
+$keep = []
+ts = []
+4.times do |i|
+  ts << Thread.new(i) do |tid|
+    j = 0
+    while j < 12
+      $keep << Array.new(120000, tid)
+      j += 1
+    end
+  end
+end
+ts.each do |t|
+  t.join
+end
+__record("v", $keep.size)
+)";
+
+TEST(GoldenDigest, SpillRegionGrowthRunMatchesRecordedDigests) {
+  const Pin pin = {"HTM-dynamic/zEC12/spill growth", 0xa9cd1b66c420c857ULL,
+                   0x20689a87846e5c8dULL};
+  std::size_t spill_blocks = 0;
+  const Digests d =
+      run_digests(EngineConfig::htm_dynamic(htm::SystemProfile::zec12()),
+                  kSpillGrowthProgram, nullptr, &spill_blocks);
+  EXPECT_EQ(d.trace, pin.trace) << pin.label << ": trace digest moved";
+  EXPECT_EQ(d.metrics, pin.metrics) << pin.label << ": metrics digest moved";
+  EXPECT_GT(spill_blocks, 1u) << pin.label << ": the spill region never grew";
 }
 
 // The Overload.BreakerBrownOutIsByteDeterministicForAFixedSeed run: four

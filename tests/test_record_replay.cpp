@@ -2,16 +2,20 @@
 // a recorded abort storm replays to the identical event stream, summary,
 // and bisect verdict across repeated replays; time-travel stops produce
 // exact prefixes; heap labels (arena-steal, nursery) survive the
-// guest-address rebase; and the --record-*/--addr-* flag families follow
-// the strict-CLI convention.
+// guest-address rebase; the --record-*/--addr-* flag families follow
+// the strict-CLI convention; and record headers and cluster Init frames
+// parse config names and engine flags through one function.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_config.hpp"
 #include "htm/profile.hpp"
+#include "httpsim/cluster/worker.hpp"
 #include "obs/record.hpp"
 #include "runtime/engine.hpp"
 #include "stm/stm_config.hpp"
@@ -220,6 +224,115 @@ TEST(RecordReplayCli, FaultAndStmFlagsRoundTripThroughToFlags) {
   EXPECT_EQ(sc2.enabled, sc.enabled);
   EXPECT_EQ(sc2.subscription, sc.subscription);
   EXPECT_EQ(sc2.commit_retry_max, sc.commit_retry_max);
+}
+
+// runtime::engine_config is the one parser of canonical config names, so
+// record headers, cluster Init frames and the figure drivers agree on them.
+TEST(EngineConfigName, CanonicalNamesMatchThePresets) {
+  for (const char* machine : {"zEC12", "XeonE3-1275v3"}) {
+    const auto profile = htm::SystemProfile::by_name(machine);
+    const std::pair<const char*, runtime::EngineConfig> cases[] = {
+        {"GIL", runtime::EngineConfig::gil(profile)},
+        {"HTM-1", runtime::EngineConfig::htm_fixed(profile, 1)},
+        {"HTM-16", runtime::EngineConfig::htm_fixed(profile, 16)},
+        {"HTM-256", runtime::EngineConfig::htm_fixed(profile, 256)},
+        {"HTM-dynamic", runtime::EngineConfig::htm_dynamic(profile)},
+    };
+    for (const auto& [name, want] : cases) {
+      const runtime::EngineConfig got = runtime::engine_config(profile, name);
+      const std::string label = std::string(machine) + "/" + name;
+      EXPECT_EQ(got.mode, want.mode) << label;
+      EXPECT_EQ(got.profile.machine.name, want.profile.machine.name) << label;
+      EXPECT_EQ(got.tle.fixed_length, want.tle.fixed_length) << label;
+      EXPECT_EQ(got.tle.adjustment_threshold, want.tle.adjustment_threshold)
+          << label;
+      EXPECT_EQ(got.heap.initial_slots, want.heap.initial_slots) << label;
+      EXPECT_EQ(got.heap.malloc_refill_chunks, want.heap.malloc_refill_chunks)
+          << label;
+      EXPECT_EQ(got.heap.thread_local_free_lists,
+                want.heap.thread_local_free_lists)
+          << label;
+      EXPECT_EQ(got.heap.per_thread_arenas, want.heap.per_thread_arenas)
+          << label;
+      EXPECT_EQ(got.heap.lazy_sweep, want.heap.lazy_sweep) << label;
+      EXPECT_EQ(got.heap.nursery, want.heap.nursery) << label;
+      EXPECT_FALSE(got.fault.enabled()) << label;
+      EXPECT_FALSE(got.stm.enabled) << label;
+    }
+  }
+}
+
+TEST(EngineConfigName, RejectsNonCanonicalNames) {
+  const auto profile = htm::SystemProfile::zec12();
+  for (const char* name : {"HTM-0", "HTM--4", "HTM-16x", "HTM-", "htm-16", "",
+                           "HTM-+4", "HTM-99999999999", "gil", "dynamic"}) {
+    EXPECT_THROW(runtime::engine_config(profile, name), std::invalid_argument)
+        << "'" << name << "'";
+  }
+}
+
+TEST(EngineConfigName, AppliesTheEngineFlagFamilies) {
+  const runtime::EngineConfig cfg = runtime::engine_config(
+      htm::SystemProfile::xeon_e3(), "HTM-16",
+      {"--fault-seed=9", "--stm", "--gil-subscription=lazy", "--gc-arena",
+       "--gc-nursery"});
+  EXPECT_EQ(cfg.tle.fixed_length, 16);
+  EXPECT_EQ(cfg.fault.seed, 9u);
+  EXPECT_TRUE(cfg.stm.enabled);
+  EXPECT_EQ(cfg.stm.subscription, stm::GilSubscription::kLazy);
+  EXPECT_TRUE(cfg.heap.per_thread_arenas);
+  EXPECT_TRUE(cfg.heap.nursery);
+}
+
+// A bad engine flag fails the same way through both callers of the shared
+// function: a record header and a cluster Init frame.
+TEST(EngineConfigName, BadEngineFlagsRejectThroughRecordAndInit) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--gc-steal"},  // needs --gc-arena
+      {"--fault-x=1"},
+      {"--stm-max-read=0"},
+      {"--gc-sweep-policy=fifo"},
+      {"--addr-mode=host"},
+  };
+  for (const auto& flags : bad) {
+    obs::RecordedRun recorded;
+    recorded.scenario = workloads::make_scenario(
+        "While", "zEC12", "HTM-dynamic", 2, 1, 0x6112024);
+    recorded.flags = flags;
+    const workloads::Workload* w = nullptr;
+    unsigned threads = 0;
+    unsigned scale = 0;
+    EXPECT_THROW(
+        workloads::config_from_recorded(recorded, &w, &threads, &scale),
+        std::invalid_argument)
+        << flags[0];
+
+    httpsim::cluster::InitMsg init;
+    init.engine_flags = flags;
+    EXPECT_THROW(httpsim::cluster::engine_config_from_init(init),
+                 std::invalid_argument)
+        << flags[0];
+  }
+
+  // The same names parse the same way through both.
+  obs::RecordedRun recorded;
+  recorded.scenario =
+      workloads::make_scenario("While", "zEC12", "HTM-7", 2, 1, 1);
+  const workloads::Workload* w = nullptr;
+  unsigned threads = 0;
+  unsigned scale = 0;
+  EXPECT_EQ(
+      workloads::config_from_recorded(recorded, &w, &threads, &scale)
+          .tle.fixed_length,
+      7);
+  httpsim::cluster::InitMsg init;
+  init.config = "HTM-7x";
+  EXPECT_THROW(httpsim::cluster::engine_config_from_init(init),
+               std::invalid_argument);
+  recorded.scenario["config"] = "HTM-7x";
+  EXPECT_THROW(
+      workloads::config_from_recorded(recorded, &w, &threads, &scale),
+      std::invalid_argument);
 }
 
 }  // namespace
